@@ -9,8 +9,8 @@ is not monotone, which is visible in the last few recorded values.
 import numpy as np
 
 from spherembed import (PlantedPartitionSpec, ShiftedOperator, SolverConfig,
-                        generate_planted_partition, gpm_solve, gpmm_solve,
-                        make_descriptor, project_rows)
+                        generate_planted_partition, make_descriptor,
+                        project_rows, solve)
 
 print(f"{'seed':>4} {'plain':>6} {'momentum':>8} {'speedup':>8} {'rel. gap':>10}")
 ratios = []
@@ -19,10 +19,9 @@ for seed in range(6):
         PlantedPartitionSpec(n=300, k=3, p_in=0.2, p_out=0.01, seed=seed))
     op = ShiftedOperator(make_descriptor(graph, "modularity"))
     x0 = project_rows(op.sample_columns(10, np.random.default_rng(seed)))
-    cfg = SolverConfig(d0=10, tol=1e-8, seed=seed)
 
-    plain = gpm_solve(op, cfg, x0=x0)
-    mom = gpmm_solve(op, cfg, x0=x0)
+    plain = solve(op, SolverConfig(d0=10, tol=1e-8, seed=seed, momentum=False), x0=x0)
+    mom = solve(op, SolverConfig(d0=10, tol=1e-8, seed=seed, momentum=True), x0=x0)
     rel = (mom.objective - plain.objective) / plain.objective
     ratios.append(plain.iterations / mom.iterations)
     print(f"{seed:>4} {plain.iterations:>6} {mom.iterations:>8} "

@@ -28,8 +28,6 @@ from .solver import (
     project_rows,
     objective,
     first_order_criterion,
-    gpm_solve,
-    gpmm_solve,
     solve,
 )
 from .embedding import (
@@ -46,7 +44,7 @@ from .partition import (
     best_of_restarts,
 )
 from .metrics import modularity_of_partition, nmi, summarize
-from .generators import PlantedPartitionSpec, generate_planted_partition, load_lfr_pair
+from .generators import PlantedPartitionSpec, generate_planted_partition
 from .pipeline import (
     PipelineConfig,
     seed_tree,
@@ -73,8 +71,6 @@ __all__ = [
     "project_rows",
     "objective",
     "first_order_criterion",
-    "gpm_solve",
-    "gpmm_solve",
     "solve",
     "EmbeddingResult",
     "svd_embedding",
@@ -90,7 +86,6 @@ __all__ = [
     "summarize",
     "PlantedPartitionSpec",
     "generate_planted_partition",
-    "load_lfr_pair",
     "PipelineConfig",
     "seed_tree",
     "run_embedding",

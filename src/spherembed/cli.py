@@ -47,7 +47,8 @@ def _add_embed_options(p):
     p.add_argument("--embedding-kind", choices=["spherical", "ellipsoidal"],
                    default="spherical", help="coordinate system for the embedding CSV")
     p.add_argument("--trace-delta", action="store_true",
-                   help="add the criticality column to the trace CSV when available")
+                   help="add the criticality column to the trace CSV "
+                        "(plain solver only, --no-momentum)")
 
 
 def _add_partition_options(p):

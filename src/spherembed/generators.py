@@ -1,10 +1,9 @@
-"""Seeded planted-partition graphs and loader glue for external benchmarks.
+"""Seeded planted-partition graphs.
 
 The generator samples each node pair independently with a within-block or
 between-block probability, keeps the largest connected component, and
 retries with derived seeds until the component covers at least 95% of the
-requested nodes. Externally generated benchmark graphs (e.g. LFR) are
-consumed from edge-list and community files rather than generated here.
+requested nodes.
 """
 
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graphs import Graph, largest_connected_component, load_edge_list, load_ground_truth
+from .graphs import Graph, largest_connected_component
 
 COVERAGE = 0.95
 MAX_ATTEMPTS = 20
@@ -71,15 +70,3 @@ def generate_planted_partition(spec):
     raise RuntimeError(
         f"could not produce a connected graph covering >= {COVERAGE:.0%} of "
         f"{spec.n} nodes in {MAX_ATTEMPTS} attempts; edge probabilities too sparse")
-
-
-def load_lfr_pair(edge_source, community_source):
-    """Load an externally generated (graph, ground truth) pair.
-
-    The graph is reduced to its largest connected component; community
-    entries for nodes dropped by that reduction are ignored, but every
-    surviving node must be covered.
-    """
-    g = load_edge_list(edge_source)
-    labels = load_ground_truth(community_source, g, ignore_extra=True)
-    return g, labels

@@ -140,21 +140,6 @@ def best_of_restarts(rows, graph, k, restarts, rng, max_rounds=200, jobs=None):
     return winner
 
 
-def move_gain(rows, centroids, labels, i, target):
-    """Objective change from moving node i to cluster `target`.
-
-    With pre-move centroids R (the source centroid still containing row i),
-    the change is 2 U_i (R_target - R_source)^T + 2 ||U_i||^2, which for
-    unit rows is 2 U_i (R_target - R_source)^T + 2.
-    """
-    u = rows[i]
-    src = labels[i]
-    if target == src:
-        return 0.0
-    return float(2.0 * u @ (centroids[target] - centroids[src])
-                 + 2.0 * u @ u)
-
-
 def write_partition_csv(partition, graph, dest):
     """Write "node_label,cluster_id" rows in original-label order."""
     lines = ["node_label,cluster_id"]

@@ -75,7 +75,7 @@ def run_embedding(graph, cfg, rng=None):
     solver_cfg = SolverConfig(d0=d0_eff, tol=cfg.tol, max_iter=cfg.max_iter,
                               momentum=cfg.momentum,
                               momentum_variant=cfg.momentum_variant,
-                              seed=cfg.seed, shift_epsilon=cfg.shift_epsilon)
+                              seed=cfg.seed)
     result = solve(shifted, solver_cfg, rng=rng)
     embedding = svd_embedding(result.x, epsilon=cfg.epsilon,
                               provenance={"config": cfg.echo(),

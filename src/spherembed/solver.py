@@ -24,7 +24,6 @@ class SolverConfig:
     momentum: bool = True
     momentum_variant: str = "main"
     seed: int = 0
-    shift_epsilon: float = 0.0
 
     def __post_init__(self):
         if int(self.d0) != self.d0 or self.d0 < 2:
@@ -35,8 +34,6 @@ class SolverConfig:
             raise ValueError("max_iter must be positive")
         if self.momentum_variant not in ("main", "appendix"):
             raise ValueError(f"unknown momentum variant {self.momentum_variant!r}")
-        if self.shift_epsilon < 0:
-            raise ValueError("shift_epsilon must be non-negative")
 
 
 @dataclass
@@ -44,8 +41,10 @@ class SolveResult:
     """Final iterate with convergence diagnostics.
 
     objective is always Tr(x^T K x) at the final iterate; trace holds the
-    per-iteration stopping bookkeeping (which for the momentum main variant
-    is the surrogate Tr(y^T x), not the objective itself).
+    series the stopping test read, one entry per update after trace[0] =
+    f(x0) (for the momentum main variant the surrogate Tr((K x_{j-1})^T x_j),
+    not the objective itself). step_norms_sq and delta_trace are recorded
+    by the plain method only.
     """
 
     x: np.ndarray
@@ -60,10 +59,14 @@ class SolveResult:
     delta_trace: np.ndarray = None
 
 
-def project_rows(X):
-    """Normalize each row to unit 2-norm; zero rows are an error."""
+def project_rows(X, norms=None):
+    """Normalize each row to unit 2-norm; zero rows are an error.
+
+    norms, when given, are the row norms of X, already computed.
+    """
     X = np.asarray(X, dtype=float)
-    norms = np.linalg.norm(X, axis=1)
+    if norms is None:
+        norms = np.linalg.norm(X, axis=1)
     if (norms == 0.0).any():
         raise ValueError("cannot project a zero row onto the sphere")
     return X / norms[:, None]
@@ -86,120 +89,73 @@ def _initial_point(k, cfg, rng, x0):
     return project_rows(k.sample_columns(cfg.d0, rng))
 
 
-def gpm_solve(k, cfg, rng=None, x0=None):
-    """Plain projected power iteration x <- P(Kx).
+def solve(k, cfg, rng=None, x0=None):
+    """Projected power iteration x_j = P(z_j), maximizing Tr(x^T K x).
 
-    Stops once the relative objective change drops below cfg.tol (tested
-    from the second iteration on) or max_iter is hit, in which case the
-    result is flagged not converged.
+    Update j extrapolates the cached K images,
+    z_j = K x_{j-1} + r_j (K x_{j-1} - K x_{j-2}), so it costs one apply.
+    The plain method (cfg.momentum False) has r_j = 0 and increases the
+    objective by more than the squared step norm; momentum uses
+    r_j = (j-1)/(j+2) and is not guaranteed monotone. K is linear, so z_j
+    is also K(x_{j-1} + r_j (x_{j-1} - x_{j-2})): the "main" and "appendix"
+    variants share their iterates and differ only in the series the
+    stopping test reads, the surrogate Tr((K x_{j-1})^T x_j) for main and
+    the objective for the plain and appendix methods.
+
+    Stops once the relative change of that series drops below cfg.tol
+    (tested from the second update on) or after cfg.max_iter updates, in
+    which case the result is flagged not converged. iterations counts
+    updates and trace[0] = f(x0), so len(trace) == iterations + 1.
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     x = _initial_point(k, cfg, rng, x0)
     x0_saved = x.copy()
-    y = k.apply(x)
-    trace = [float(np.vdot(x, y))]
-    deltas = [float(np.sum(np.linalg.norm(y, axis=1)) - trace[0])]
+    plain = not cfg.momentum
+    surrogate = cfg.momentum and cfg.momentum_variant == "main"
+    y = y_prev = k.apply(x)
+    f = float(np.vdot(x, y))
+    trace = [f]
+    # the plain method reuses the row norms of Kx for the next projection
+    y_norms = np.linalg.norm(y, axis=1) if plain else None
+    deltas = [float(np.sum(y_norms) - f)] if plain else None
     steps = []
-    m = 0
+    j = 0
     converged = False
-    while m < cfg.max_iter:
-        m += 1
-        x_new = project_rows(y)
-        steps.append(float(np.sum((x_new - x) ** 2)))
-        x = x_new
+    while j < cfg.max_iter:
+        j += 1
+        r = 0.0 if plain else (j - 1) / (j + 2)
+        z, norms = y, y_norms
+        if r > 0:
+            z = y + r * (y - y_prev)
+            norms = np.linalg.norm(z, axis=1)
+            # extrapolation can in principle produce a zero row; fall back
+            # to the non-extrapolated power-iteration row there
+            bad = norms == 0.0
+            if bad.any():
+                z[bad] = y[bad]
+                norms = None
+        x_new = project_rows(z, norms)
+        if plain:
+            steps.append(float(np.sum((x_new - x) ** 2)))
+        if surrogate:
+            trace.append(float(np.vdot(y, x_new)))
+        x, y_prev = x_new, y
         y = k.apply(x)
-        o = float(np.vdot(x, y))
-        trace.append(o)
-        deltas.append(float(np.sum(np.linalg.norm(y, axis=1)) - o))
-        if m >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
+        f = float(np.vdot(x, y))
+        if plain:
+            y_norms = np.linalg.norm(y, axis=1)
+            deltas.append(float(np.sum(y_norms) - f))
+        if not surrogate:
+            trace.append(f)
+        if j >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
             converged = True
             break
-    return SolveResult(x=x, x0=x0_saved, objective=trace[-1], delta=deltas[-1],
-                       trace=np.array(trace), iterations=m, converged=converged,
-                       method="gpm", step_norms_sq=np.array(steps),
-                       delta_trace=np.array(deltas))
-
-
-def _renorm_with_fallback(z, fallback):
-    # extrapolation can in principle produce a zero row; fall back to the
-    # non-extrapolated power-iteration row there
-    norms = np.linalg.norm(z, axis=1)
-    bad = norms == 0.0
-    if bad.any():
-        z = z.copy()
-        z[bad] = fallback[bad]
-        norms = np.linalg.norm(z, axis=1)
-    return z / norms[:, None]
-
-
-def gpmm_solve(k, cfg, rng=None, x0=None):
-    """Momentum variant with extrapolation weight r_n = (n-1)/(n+2).
-
-    main variant:     y_n = K x_{n-1};  x_n = P(y_n + r_n (y_n - y_{n-1})),
-                      stopping on the surrogate o_{n-1} = Tr(y_{n-1}^T x_{n-1}).
-    appendix variant: y_m = x_m + r_m (x_m - x_{m-1});  x_{m+1} = P(K y_m),
-                      stopping on the objective; K y_m is formed from cached
-                      K x images so each iteration still costs one apply.
-
-    Monotonicity is not guaranteed for either variant.
-    """
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    x = _initial_point(k, cfg, rng, x0)
-    x0_saved = x.copy()
-    if cfg.momentum_variant == "main":
-        y_prev = k.apply(x)
-        x_prev = x
-        trace = []
-        n = 0
-        converged = False
-        while n < cfg.max_iter:
-            n += 1
-            trace.append(float(np.vdot(y_prev, x_prev)))
-            y = k.apply(x_prev)
-            r = (n - 1) / (n + 2)
-            x_next = _renorm_with_fallback(y + r * (y - y_prev), y)
-            x_prev, y_prev = x_next, y
-            if n >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
-                converged = True
-                break
-        x_final = x_prev
-        iterations = n
-    else:
-        # K y_m = K x_m + r_m (K x_m - K x_{m-1}), so caching the K images
-        # keeps the cost at one apply per iteration
-        x_cur = x
-        w_cur = k.apply(x_cur)
-        w_prev = w_cur
-        trace = [float(np.vdot(x_cur, w_cur))]
-        m = 1
-        converged = False
-        while m < cfg.max_iter:
-            m += 1
-            r = (m - 2) / (m + 1)  # extrapolation weight for the step out of x_{m-1}
-            z = w_cur + r * (w_cur - w_prev)
-            x_next = _renorm_with_fallback(z, w_cur)
-            w_prev = w_cur
-            x_cur = x_next
-            w_cur = k.apply(x_cur)
-            trace.append(float(np.vdot(x_cur, w_cur)))
-            if m >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
-                converged = True
-                break
-        x_final = x_cur
-        iterations = m
-    y_final = k.apply(x_final)
-    f_final = float(np.vdot(x_final, y_final))
-    delta = float(np.sum(np.linalg.norm(y_final, axis=1)) - f_final)
-    return SolveResult(x=x_final, x0=x0_saved, objective=f_final, delta=delta,
-                       trace=np.array(trace), iterations=iterations,
-                       converged=converged, method=f"gpmm-{cfg.momentum_variant}")
-
-
-def solve(k, cfg, rng=None, x0=None):
-    """Dispatch to the momentum or plain solver per cfg.momentum."""
-    if cfg.momentum:
-        return gpmm_solve(k, cfg, rng=rng, x0=x0)
-    return gpm_solve(k, cfg, rng=rng, x0=x0)
+    delta = float(np.sum(np.linalg.norm(y, axis=1)) - f)
+    return SolveResult(x=x, x0=x0_saved, objective=f, delta=delta,
+                       trace=np.array(trace), iterations=j, converged=converged,
+                       method="gpm" if plain else f"gpmm-{cfg.momentum_variant}",
+                       step_norms_sq=np.array(steps) if plain else None,
+                       delta_trace=np.array(deltas) if plain else None)
 
 
 def write_trace_csv(result, dest, include_delta=False):

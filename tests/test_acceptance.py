@@ -18,10 +18,9 @@ from oracles import (all_partitions, dense_adjacency, dense_objective,
                      random_connected_graph)
 from spherembed import (PipelineConfig, PlantedPartitionSpec, ShiftedOperator,
                         SolverConfig, cli, first_order_criterion,
-                        generate_planted_partition, gpm_solve, gpmm_solve,
-                        make_descriptor, modularity_of_partition, nmi, objective,
-                        project_rows, run_pipeline, svd_embedding,
-                        truncate_embedding)
+                        generate_planted_partition, make_descriptor,
+                        modularity_of_partition, nmi, objective, project_rows,
+                        run_pipeline, solve, svd_embedding, truncate_embedding)
 from spherembed.pipeline import run_embedding
 
 
@@ -58,7 +57,8 @@ def test_criterion_1_monotonicity(capsys):
             graph, _ = planted(300, 3, 0.2, 0.01, seed=s)
             d0 = 10
         kind = "modularity" if s % 2 == 0 else "normlap"
-        res = gpm_solve(shifted(graph, kind), SolverConfig(d0=d0, seed=s, tol=1e-8))
+        res = solve(shifted(graph, kind),
+                    SolverConfig(d0=d0, seed=s, tol=1e-8, momentum=False))
         margins = np.diff(res.trace) - res.step_norms_sq
         worst = min(worst, float(margins.min()))
         if not np.all(margins > -1e-10):
@@ -76,7 +76,7 @@ def test_criterion_2_criticality(capsys):
         graph, _ = planted(50 if s % 2 else 100, 2, 0.3, 0.05, seed=s)
         kind = "modularity" if s % 3 else "normlap"
         op = shifted(graph, kind)
-        res = gpm_solve(op, SolverConfig(d0=6, seed=s, tol=1e-8))
+        res = solve(op, SolverConfig(d0=6, seed=s, tol=1e-8, momentum=False))
         worst_rel = max(worst_rel, res.delta / res.objective)
     near_critical = worst_rel <= 1e-6
 
@@ -202,9 +202,8 @@ def test_criterion_7_momentum_speedup(capsys):
         graph, _ = planted(300, 3, 0.2, 0.01, seed=100 + s)
         op = shifted(graph, "modularity")
         x0 = project_rows(op.sample_columns(10, np.random.default_rng(s)))
-        cfg = SolverConfig(d0=10, tol=1e-8, seed=s)
-        plain = gpm_solve(op, cfg, x0=x0)
-        mom = gpmm_solve(op, cfg, x0=x0)
+        plain = solve(op, SolverConfig(d0=10, tol=1e-8, seed=s, momentum=False), x0=x0)
+        mom = solve(op, SolverConfig(d0=10, tol=1e-8, seed=s, momentum=True), x0=x0)
         wins += int(mom.iterations <= plain.iterations)
         worst_rel = max(worst_rel,
                         (plain.objective - mom.objective) / plain.objective)

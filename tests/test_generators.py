@@ -5,7 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from spherembed import PlantedPartitionSpec, generate_planted_partition, load_lfr_pair
+from spherembed import (PlantedPartitionSpec, generate_planted_partition, load_edge_list,
+                        load_ground_truth)
 
 
 def test_spec_validation():
@@ -89,6 +90,7 @@ def test_labels_aligned_with_nodes():
 def test_load_lfr_pair_with_extra_truth_rows():
     edges = io.StringIO("1 2\n2 3\n3 1\n4 5\n")  # component {1,2,3} wins
     truth = io.StringIO("1 7\n2 7\n3 8\n4 9\n5 9\n")
-    graph, labels = load_lfr_pair(edges, truth)
+    graph = load_edge_list(edges)
+    labels = load_ground_truth(truth, graph, ignore_extra=True)
     assert graph.n == 3
     assert labels.tolist() == [0, 0, 1]

@@ -53,6 +53,11 @@ def test_shift_vector_single_edge(single_edge):
     assert np.allclose(v2, [1.75, 1.75])
 
 
+def test_negative_shift_epsilon_rejected(single_edge):
+    with pytest.raises(ValueError):
+        ShiftedOperator(ModularityOperator(single_edge), epsilon=-0.1)
+
+
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
 def test_shifted_apply_replaces_diagonal(rng, kind):
     for eps in (0.0, 0.3):

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import all_partitions, dense_adjacency, modularity_value, z_tilde_of
 from spherembed import best_of_restarts, init_centroids, vp_run, vp_step
-from spherembed.partition import (move_gain, write_partition_csv, write_run_log,
+from spherembed.partition import (write_partition_csv, write_run_log,
                                   z_tilde_value, _centroids_for)
 from spherembed.solver import project_rows
 
@@ -94,26 +94,20 @@ def test_vp_step_drops_empty_clusters(rng):
 
 
 def test_move_gain_matches_objective_recompute(rng):
-    """Gain formula against brute-force z_tilde before/after the move."""
+    """Moving a unit row from a to b changes z_tilde by 2 U_i (R_b - R_a)^T + 2."""
     rows = unit_rows(rng, 14, 4)
     labels = rng.integers(0, 4, size=14)
     R = _centroids_for(rows, labels, 4)
     for _ in range(50):
         i = int(rng.integers(0, 14))
-        target = int(rng.integers(0, 4))
+        a = int(labels[i])
+        b = (a + int(rng.integers(1, 4))) % 4
         before = z_tilde_of(rows, labels)
         moved = labels.copy()
-        moved[i] = target
+        moved[i] = b
         after = z_tilde_of(rows, moved)
-        assert move_gain(rows, R, labels, i, target) == pytest.approx(
+        assert 2.0 * rows[i] @ (R[b] - R[a]) + 2.0 == pytest.approx(
             after - before, abs=1e-10)
-
-
-def test_move_gain_zero_for_self_move(rng):
-    rows = unit_rows(rng, 6, 3)
-    labels = np.array([0, 0, 1, 1, 2, 2])
-    R = _centroids_for(rows, labels, 3)
-    assert move_gain(rows, R, labels, 0, 0) == 0.0
 
 
 def test_vp_run_history_structure(rng, barbell):

@@ -6,8 +6,8 @@ import pytest
 from oracles import (dense_adjacency, dense_criterion, dense_modularity_matrix,
                      dense_objective, dense_shifted, random_connected_graph)
 from spherembed import (ShiftedOperator, SolverConfig,
-                        first_order_criterion, gpm_solve, gpmm_solve, make_descriptor,
-                        objective, project_rows, solve)
+                        first_order_criterion, make_descriptor, objective,
+                        project_rows, solve)
 from spherembed.solver import write_trace_csv
 
 
@@ -39,13 +39,11 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(momentum_variant="nesterov")
-    with pytest.raises(ValueError):
-        SolverConfig(shift_epsilon=-0.1)
 
 
 def test_gpm_trace_starts_at_initial_objective(barbell):
     op = shifted_op(barbell)
-    res = gpm_solve(op, SolverConfig(d0=4, seed=1))
+    res = solve(op, SolverConfig(d0=4, seed=1, momentum=False))
     assert res.trace[0] == pytest.approx(objective(op, res.x0), abs=1e-12)
 
 
@@ -53,15 +51,15 @@ def test_gpm_monotone_beyond_squared_step(rng):
     """Each iteration gains more than the squared step norm."""
     for seed in range(4):
         g = random_connected_graph(rng, 40, extra_edges=60)
-        res = gpm_solve(shifted_op(g), SolverConfig(d0=6, seed=seed, momentum=False))
+        res = solve(shifted_op(g), SolverConfig(d0=6, seed=seed, momentum=False))
         gaps = np.diff(res.trace)
         assert np.all(gaps > res.step_norms_sq - 1e-10)
         assert np.all(gaps > -1e-12)
 
 
 def test_gpm_stops_on_relative_tolerance(barbell):
-    cfg = SolverConfig(d0=4, tol=1e-8, seed=5)
-    res = gpm_solve(shifted_op(barbell), cfg)
+    cfg = SolverConfig(d0=4, tol=1e-8, seed=5, momentum=False)
+    res = solve(shifted_op(barbell), cfg)
     assert res.converged
     rel = abs(res.trace[-1] - res.trace[-2]) / res.trace[-2]
     assert rel < cfg.tol
@@ -71,7 +69,7 @@ def test_gpm_stops_on_relative_tolerance(barbell):
 def test_gpm_small_criticality_at_convergence(rng):
     for seed in range(3):
         g = random_connected_graph(rng, 30, extra_edges=40)
-        res = gpm_solve(shifted_op(g), SolverConfig(d0=5, tol=1e-10, seed=seed))
+        res = solve(shifted_op(g), SolverConfig(d0=5, tol=1e-10, seed=seed, momentum=False))
         assert res.delta / res.objective < 1e-7
 
 
@@ -81,7 +79,7 @@ def test_gpm_fixed_point_start_terminates_immediately(barbell):
     sigma = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
     u = np.array([0.6, 0.8])
     x0 = sigma[:, None] * u[None, :]
-    res = gpm_solve(op, SolverConfig(d0=2, seed=0), x0=x0)
+    res = solve(op, SolverConfig(d0=2, seed=0, momentum=False), x0=x0)
     assert res.converged
     assert res.iterations == 2
     assert np.allclose(res.x, x0, atol=1e-12)
@@ -89,7 +87,7 @@ def test_gpm_fixed_point_start_terminates_immediately(barbell):
 
 
 def test_max_iter_exhaustion_flags_not_converged(barbell):
-    res = gpm_solve(shifted_op(barbell), SolverConfig(d0=4, max_iter=3, seed=2))
+    res = solve(shifted_op(barbell), SolverConfig(d0=4, max_iter=3, seed=2, momentum=False))
     assert not res.converged
     assert res.iterations == 3
 
@@ -101,8 +99,9 @@ def test_gpmm_reaches_gpm_quality(rng, variant, quality):
     g = random_connected_graph(rng, 50, extra_edges=80)
     op = shifted_op(g)
     x0 = project_rows(op.sample_columns(6, np.random.default_rng(7)))
-    plain = gpm_solve(op, SolverConfig(d0=6, seed=0), x0=x0)
-    mom = gpmm_solve(op, SolverConfig(d0=6, seed=0, momentum_variant=variant), x0=x0)
+    plain = solve(op, SolverConfig(d0=6, seed=0, momentum=False), x0=x0)
+    mom = solve(op, SolverConfig(d0=6, seed=0, momentum=True, momentum_variant=variant),
+                x0=x0)
     assert mom.method == f"gpmm-{variant}"
     rel_drop = (plain.objective - mom.objective) / plain.objective
     assert rel_drop < quality
@@ -111,7 +110,7 @@ def test_gpmm_reaches_gpm_quality(rng, variant, quality):
 
 def test_gpmm_final_objective_is_recomputed(barbell):
     op = shifted_op(barbell)
-    res = gpmm_solve(op, SolverConfig(d0=4, seed=3))
+    res = solve(op, SolverConfig(d0=4, seed=3, momentum=True))
     assert res.objective == pytest.approx(objective(op, res.x), abs=1e-12)
     assert res.delta == pytest.approx(first_order_criterion(op, res.x), abs=1e-12)
 
@@ -122,6 +121,48 @@ def test_solve_dispatch(barbell):
     assert solve(op, SolverConfig(d0=4, momentum=True)).method == "gpmm-main"
     appendix = SolverConfig(d0=4, momentum=True, momentum_variant="appendix")
     assert solve(op, appendix).method == "gpmm-appendix"
+
+
+class CountingOperator:
+    """Forwards to an operator and counts apply calls."""
+
+    def __init__(self, op):
+        self.op = op
+        self.applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return self.op.apply(x)
+
+    def sample_columns(self, d, rng):
+        return self.op.sample_columns(d, rng)
+
+
+@pytest.mark.parametrize("method", [dict(momentum=False),
+                                    dict(momentum=True, momentum_variant="main"),
+                                    dict(momentum=True, momentum_variant="appendix")])
+def test_one_apply_per_update_and_trace_per_update(rng, method):
+    g = random_connected_graph(rng, 30, extra_edges=40)
+    for max_iter in (1, 2, 5, 10000):
+        op = CountingOperator(shifted_op(g))
+        res = solve(op, SolverConfig(d0=5, seed=4, max_iter=max_iter, **method))
+        assert res.iterations <= max_iter
+        assert len(res.trace) == res.iterations + 1
+        assert op.applies == res.iterations + 1
+        assert res.trace[0] == pytest.approx(objective(op.op, res.x0), abs=1e-12)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 7])
+def test_main_and_appendix_share_iterates(rng, max_iter):
+    """The variants differ only in their stopping series, not in x."""
+    g = random_connected_graph(rng, 40, extra_edges=60)
+    op = shifted_op(g)
+    x0 = project_rows(op.sample_columns(6, np.random.default_rng(3)))
+    res = {variant: solve(op, SolverConfig(d0=6, tol=1e-300, max_iter=max_iter,
+                                           momentum_variant=variant), x0=x0)
+           for variant in ("main", "appendix")}
+    assert res["main"].iterations == res["appendix"].iterations == max_iter
+    assert np.array_equal(res["main"].x, res["appendix"].x)
 
 
 def test_same_seed_bitwise_reproducible(rng):
@@ -144,7 +185,7 @@ def test_normlap_descriptor_solves_too(barbell):
 def test_trace_csv_layout(barbell):
     import io
 
-    res = gpm_solve(shifted_op(barbell), SolverConfig(d0=4, seed=0))
+    res = solve(shifted_op(barbell), SolverConfig(d0=4, seed=0, momentum=False))
     buf = io.StringIO()
     write_trace_csv(res, buf)
     lines = buf.getvalue().splitlines()
