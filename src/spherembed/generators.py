@@ -9,7 +9,6 @@ requested nodes.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .graphs import Graph, largest_connected_component
 
@@ -55,15 +54,7 @@ def generate_planted_partition(spec):
         r, c = np.nonzero(hit)
         if len(r) == 0:
             continue
-        data = np.ones(len(r))
-        adj = sparse.coo_matrix(
-            (np.concatenate([data, data]),
-             (np.concatenate([r, c]), np.concatenate([c, r]))),
-            shape=(spec.n, spec.n)).tocsr()
-        adj.sort_indices()
-        g = Graph(adjacency=adj, degrees=np.diff(adj.indptr).astype(np.int64),
-                  node_labels=tuple(range(spec.n)))
-        g = largest_connected_component(g)
+        g = largest_connected_component(Graph.from_edges(spec.n, r, c, range(spec.n)))
         if g.n >= COVERAGE * spec.n:
             labels = blocks[np.array(g.node_labels, dtype=np.int64)]
             return g, labels

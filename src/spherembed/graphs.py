@@ -7,6 +7,7 @@ stable map back to the original node labels.
 """
 
 import hashlib
+import itertools
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +47,20 @@ class Graph:
         """Total edge count; degrees always sum to 2m exactly."""
         return int(self.degrees.sum()) // 2
 
+    @classmethod
+    def from_edges(cls, n, rows, cols, labels):
+        """Graph on n nodes from index arrays holding each edge once.
+
+        rows[e], cols[e] is edge e in either orientation; the caller has
+        already dropped self-loops and duplicate edges.
+        """
+        data = np.ones(2 * len(rows))
+        adj = sparse.csr_matrix((data, (np.concatenate([rows, cols]),
+                                        np.concatenate([cols, rows]))), shape=(n, n))
+        adj.sort_indices()
+        return cls(adjacency=adj, degrees=np.diff(adj.indptr).astype(np.int64),
+                   node_labels=tuple(labels))
+
     @cached_property
     def label_index(self):
         return {lab: i for i, lab in enumerate(self.node_labels)}
@@ -54,30 +69,38 @@ class Graph:
         start, stop = self.adjacency.indptr[i], self.adjacency.indptr[i + 1]
         return self.adjacency.indices[start:stop]
 
-    def edges(self):
-        """Yield each edge once as an (i, j) index pair with i < j."""
+    def _upper_edges(self):
+        """(rows, cols) index arrays of each edge once, rows < cols, in CSR order."""
         indptr, indices = self.adjacency.indptr, self.adjacency.indices
-        for i in range(self.n):
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                if i < j:
-                    yield i, int(j)
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+        upper = rows < indices
+        return rows[upper], indices[upper].astype(np.int64)
 
-    def content_hash(self):
-        """Stable hex digest of the node count and edge set."""
+    def edges(self):
+        """Iterate each edge once as an (i, j) index pair with i < j."""
+        rows, cols = self._upper_edges()
+        return zip(rows.tolist(), cols.tolist())
+
+    @cached_property
+    def _digest(self):
         h = hashlib.sha256()
         h.update(str(self.n).encode())
-        pairs = np.array(list(self.edges()), dtype=np.int64).reshape(-1, 2)
-        h.update(pairs.tobytes())
+        h.update(np.column_stack(self._upper_edges()).tobytes())
         return h.hexdigest()[:16]
 
+    def content_hash(self):
+        """Stable hex digest of the node count and edge set, computed once."""
+        return self._digest
 
-def _as_lines(source):
+
+def _read_text(source):
+    """Whole input as text, without a leading UTF-8 byte-order mark."""
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return data.splitlines()
-    return Path(source).read_text(encoding="utf-8").splitlines()
+            return data.decode("utf-8-sig")
+        return data.removeprefix("\ufeff")
+    return Path(source).read_text(encoding="utf-8-sig")
 
 
 def _normalize_labels(raw_labels):
@@ -88,64 +111,136 @@ def _normalize_labels(raw_labels):
         return [str(t) for t in raw_labels]
 
 
-def _build(labels_sorted, edge_pairs_by_label):
-    index = {lab: i for i, lab in enumerate(labels_sorted)}
-    n = len(labels_sorted)
-    rows = np.fromiter((index[a] for a, _ in edge_pairs_by_label), dtype=np.int64,
-                       count=len(edge_pairs_by_label))
-    cols = np.fromiter((index[b] for _, b in edge_pairs_by_label), dtype=np.int64,
-                       count=len(edge_pairs_by_label))
-    data = np.ones(len(rows))
-    adj = sparse.coo_matrix((np.concatenate([data, data]),
-                             (np.concatenate([rows, cols]),
-                              np.concatenate([cols, rows]))), shape=(n, n)).tocsr()
-    adj.data[:] = 1.0
-    adj.sort_indices()
-    degrees = np.diff(adj.indptr).astype(np.int64)
-    return Graph(adjacency=adj, degrees=degrees, node_labels=tuple(labels_sorted))
+# The tokenizer works on UTF-8 bytes, so the whitespace of str.split() and
+# the line breaks of str.splitlines() outside ASCII are first mapped to
+# ASCII ones: a line break to "\x1e", which never pairs up as "\r\n" does.
+_WIDE_SPACE = str.maketrans(
+    {c: "\x1e" if c in (0x85, 0x2028, 0x2029) else " "
+     for c in (0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
+               0x205F, 0x3000)})
+_LINE_BREAK = np.zeros(256, dtype=bool)
+_LINE_BREAK[list(b"\n\v\f\r\x1c\x1d\x1e")] = True
+_SEPARATOR = _LINE_BREAK.copy()
+_SEPARATOR[list(b" \t\x1f,")] = True
+_MAX_DIGITS = 18  # a decimal numeral this long always fits in int64
+
+
+def _run_starts(ordered):
+    """Mask of the first entry of each run of equal values in a sorted array."""
+    mask = np.ones(len(ordered), dtype=bool)
+    mask[1:] = ordered[1:] != ordered[:-1]
+    return mask
+
+
+def _edge_tokens(raw):
+    """Start offsets and lengths of the tokens on edge lines of a UTF-8 buffer.
+
+    Also returns which of all tokens in the buffer those are. Lines are
+    numbered as str.splitlines() numbers them; blank lines and lines whose
+    first non-blank character is '#' are skipped; commas separate tokens
+    like whitespace. An edge line without exactly two tokens raises.
+    """
+    breaks = _LINE_BREAK[raw]
+    breaks[1:] &= (raw[1:] != ord("\n")) | (raw[:-1] != ord("\r"))  # "\r\n" is one
+    line_of = np.cumsum(breaks, dtype=np.int32 if len(raw) < 2**31 else np.int64)
+    n_lines = int(line_of[-1]) + 1 if len(raw) else 1
+    sep = _SEPARATOR[raw]
+    word = ~sep
+    starts = np.flatnonzero(word & np.concatenate([[True], sep[:-1]]))
+    ends = np.flatnonzero(word & np.concatenate([sep[1:], [True]])) + 1
+
+    # a line's first non-blank character starts a token or is a comma
+    commas = np.flatnonzero(raw == ord(","))
+    heads = np.sort(np.concatenate([starts, commas])) if len(commas) else starts
+    first = heads[_run_starts(line_of[heads])]
+    edge_line = np.zeros(n_lines, dtype=bool)
+    edge_line[line_of[first[raw[first] != ord("#")]]] = True
+    token_line = line_of[starts]
+    counts = np.bincount(token_line, minlength=n_lines)
+    bad = np.flatnonzero(edge_line & (counts != 2))
+    if len(bad):
+        lineno, got = int(bad[0]) + 1, int(counts[bad[0]])
+        if got > 2:
+            raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got} "
+                                "(weighted edges are not supported)")
+        raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got}")
+    keep = edge_line[token_line]
+    return starts[keep], (ends - starts)[keep], keep
+
+
+def _decimal_values(raw, starts, lengths):
+    """int64 value of every token if all are plain decimal numerals, else None."""
+    if not len(starts) or lengths.max() > _MAX_DIGITS:
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    for p in range(int(lengths.max())):
+        more = lengths > p
+        digit = raw[starts[more] + p] - ord("0")  # uint8: bytes below "0" wrap past 9
+        if (digit > 9).any():
+            return None
+        values[more] = 10 * values[more] + digit
+    return values
+
+
+def _edge_endpoints(text):
+    """Endpoints of every edge line as (codes, labels), two codes per line.
+
+    labels holds the distinct node labels, normalized and sorted, and codes
+    index it in file order.
+    """
+    if not text.isascii():
+        text = text.translate(_WIDE_SPACE)
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    starts, lengths, keep = _edge_tokens(raw)
+    values = _decimal_values(raw, starts, lengths)
+    if values is not None:
+        # int labels without parsing a string: "07" and "7" are both 7
+        order = np.argsort(values)
+        ordered = values[order]
+        new = _run_starts(ordered)
+        codes = np.empty(len(values), dtype=np.int64)
+        codes[order] = np.cumsum(new) - 1
+        return codes, ordered[new].tolist()
+
+    tokens = text.replace(",", " ").split()
+    if not keep.all():
+        tokens = list(itertools.compress(tokens, keep.tolist()))
+    distinct = list(dict.fromkeys(tokens))  # normalize each token once
+    normalized = _normalize_labels(distinct)
+    labels = sorted(set(normalized))  # "07" and "7" are one label
+    rank = {lab: i for i, lab in enumerate(labels)}
+    code = {tok: rank[lab] for tok, lab in zip(distinct, normalized)}
+    codes = np.fromiter(map(code.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    return codes, labels
 
 
 def load_edge_list(source):
     """Parse an edge-list text stream into the largest connected component.
 
     One edge per line as two whitespace- or comma-separated tokens; lines
-    starting with '#' and blank lines are skipped; LF and CRLF both accepted.
-    Self-loops and duplicate edges are dropped (counts logged). Rows with
-    more than two tokens are rejected: weighted input is not supported.
+    starting with '#' and blank lines are skipped; LF and CRLF both accepted,
+    and so is a leading UTF-8 byte-order mark. Self-loops and duplicate
+    edges are dropped (counts logged). Rows with more than two tokens are
+    rejected: weighted input is not supported.
     """
-    raw_edges = []
-    for lineno, line in enumerate(_as_lines(source), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        tokens = text.replace(",", " ").split()
-        if len(tokens) != 2:
-            if len(tokens) > 2:
-                raise EdgeListError(
-                    f"line {lineno}: expected 2 tokens, got {len(tokens)} "
-                    "(weighted edges are not supported)")
-            raise EdgeListError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
-        raw_edges.append((tokens[0], tokens[1]))
-    if not raw_edges:
+    codes, labels = _edge_endpoints(_read_text(source))
+    if not len(codes):
         raise EdgeListError("no edges found in input")
+    a, b = codes[0::2], codes[1::2]
 
-    flat = _normalize_labels([t for pair in raw_edges for t in pair])
-    pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(len(raw_edges))]
-
-    self_loops = sum(1 for a, b in pairs if a == b)
-    kept = {}
-    for a, b in pairs:
-        if a == b:
-            continue
-        kept[(min(a, b), max(a, b))] = None
-    duplicates = len(pairs) - self_loops - len(kept)
+    loop = a == b
+    self_loops = int(loop.sum())
+    n_all = len(labels)
+    keys = np.sort(np.minimum(a, b)[~loop] * n_all + np.maximum(a, b)[~loop])
+    keys = keys[_run_starts(keys)]
+    duplicates = len(a) - self_loops - len(keys)
     if self_loops or duplicates:
         log.info("dropped %d self-loops and %d duplicate edges", self_loops, duplicates)
-    if not kept:
+    if not len(keys):
         raise EdgeListError("graph is empty after dropping self-loops")
 
-    labels_sorted = sorted({lab for pair in kept for lab in pair})
-    g = _build(labels_sorted, list(kept))
+    # a label seen only in self-loops is an isolated node: the component cut drops it
+    g = Graph.from_edges(n_all, keys // n_all, keys % n_all, labels)
     return largest_connected_component(g)
 
 
@@ -162,8 +257,7 @@ def largest_connected_component(g):
     best_size = sizes.max()
     # node indices follow sorted label order, so the smallest index in a
     # component carries its smallest original label
-    winner = min((c for c in range(ncomp) if sizes[c] == best_size),
-                 key=lambda c: np.argmax(comp == c))
+    winner = comp[np.argmax(sizes[comp] == best_size)]
     keep = np.flatnonzero(comp == winner)
     sub = g.adjacency[np.ix_(keep, keep)].tocsr()
     sub.sort_indices()
@@ -182,7 +276,7 @@ def load_ground_truth(source, graph, ignore_extra=False):
     """
     assignments = {}
     order = {}
-    for lineno, line in enumerate(_as_lines(source), start=1):
+    for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -206,9 +300,9 @@ def load_ground_truth(source, graph, ignore_extra=False):
 
 def write_edge_list(g, dest):
     """Serialize the graph as one "a b" line per edge, using original labels."""
+    labels = g.node_labels
     lines = [f"# nodes={g.n} edges={g.m}"]
-    for i, j in g.edges():
-        lines.append(f"{g.node_labels[i]} {g.node_labels[j]}")
+    lines += [f"{labels[i]} {labels[j]}" for i, j in g.edges()]
     text = "\n".join(lines) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)

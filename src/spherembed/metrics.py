@@ -97,7 +97,9 @@ def summarize(graph, config=None, solve_result=None, embedding=None,
     optional and left out by default so that summaries for identical
     inputs are byte-identical.
     """
-    graph_info = {"n": graph.n, "m": graph.m, "hash": graph.content_hash()}
+    # an embedding from run_embedding already records the graph's hash
+    graph_hash = None if embedding is None else (embedding.provenance or {}).get("graph_hash")
+    graph_info = {"n": graph.n, "m": graph.m, "hash": graph_hash or graph.content_hash()}
     solver_info = None
     if solve_result is not None:
         solver_info = {

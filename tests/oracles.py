@@ -6,10 +6,14 @@ code is checked against these on graphs small enough to enumerate.
 """
 
 import io
+import logging
+from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
-from spherembed import load_edge_list
+from spherembed import EdgeListError, Graph, load_edge_list
 
 
 def make_graph(edges):
@@ -139,3 +143,97 @@ def all_partitions(n):
             yield from grow(prefix + [c], max(top, c))
 
     yield from grow([0], 0)
+
+
+# The edge-list loader as it stood before graph ingestion became array-native:
+# one Python tuple per edge, a dict for deduplication, COO assembly. Kept
+# verbatim, bar the names, as the reference for the vectorized loader.
+
+log = logging.getLogger(__name__)
+
+
+def _reference_as_lines(source):
+    if hasattr(source, "read"):
+        data = source.read()
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return data.splitlines()
+    return Path(source).read_text(encoding="utf-8").splitlines()
+
+
+def _reference_normalize_labels(raw_labels):
+    # All-integer label sets sort numerically, otherwise lexically as strings.
+    try:
+        return [int(t) for t in raw_labels]
+    except ValueError:
+        return [str(t) for t in raw_labels]
+
+
+def _reference_build(labels_sorted, edge_pairs_by_label):
+    index = {lab: i for i, lab in enumerate(labels_sorted)}
+    n = len(labels_sorted)
+    rows = np.fromiter((index[a] for a, _ in edge_pairs_by_label), dtype=np.int64,
+                       count=len(edge_pairs_by_label))
+    cols = np.fromiter((index[b] for _, b in edge_pairs_by_label), dtype=np.int64,
+                       count=len(edge_pairs_by_label))
+    data = np.ones(len(rows))
+    adj = sparse.coo_matrix((np.concatenate([data, data]),
+                             (np.concatenate([rows, cols]),
+                              np.concatenate([cols, rows]))), shape=(n, n)).tocsr()
+    adj.data[:] = 1.0
+    adj.sort_indices()
+    degrees = np.diff(adj.indptr).astype(np.int64)
+    return Graph(adjacency=adj, degrees=degrees, node_labels=tuple(labels_sorted))
+
+
+def reference_load_edge_list(source):
+    raw_edges = []
+    for lineno, line in enumerate(_reference_as_lines(source), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        tokens = text.replace(",", " ").split()
+        if len(tokens) != 2:
+            if len(tokens) > 2:
+                raise EdgeListError(
+                    f"line {lineno}: expected 2 tokens, got {len(tokens)} "
+                    "(weighted edges are not supported)")
+            raise EdgeListError(f"line {lineno}: expected 2 tokens, got {len(tokens)}")
+        raw_edges.append((tokens[0], tokens[1]))
+    if not raw_edges:
+        raise EdgeListError("no edges found in input")
+
+    flat = _reference_normalize_labels([t for pair in raw_edges for t in pair])
+    pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(len(raw_edges))]
+
+    self_loops = sum(1 for a, b in pairs if a == b)
+    kept = {}
+    for a, b in pairs:
+        if a == b:
+            continue
+        kept[(min(a, b), max(a, b))] = None
+    duplicates = len(pairs) - self_loops - len(kept)
+    if self_loops or duplicates:
+        log.info("dropped %d self-loops and %d duplicate edges", self_loops, duplicates)
+    if not kept:
+        raise EdgeListError("graph is empty after dropping self-loops")
+
+    labels_sorted = sorted({lab for pair in kept for lab in pair})
+    g = _reference_build(labels_sorted, list(kept))
+    return reference_largest_connected_component(g)
+
+
+def reference_largest_connected_component(g):
+    ncomp, comp = csgraph.connected_components(g.adjacency, directed=False)
+    if ncomp == 1:
+        return g
+    sizes = np.bincount(comp)
+    best_size = sizes.max()
+    winner = min((c for c in range(ncomp) if sizes[c] == best_size),
+                 key=lambda c: np.argmax(comp == c))
+    keep = np.flatnonzero(comp == winner)
+    sub = g.adjacency[np.ix_(keep, keep)].tocsr()
+    sub.sort_indices()
+    degrees = np.diff(sub.indptr).astype(np.int64)
+    labels = tuple(g.node_labels[i] for i in keep)
+    return Graph(adjacency=sub, degrees=degrees, node_labels=labels)

@@ -84,3 +84,15 @@ def test_embedding_provenance_records_run(triangle):
     _, emb = run_embedding(triangle, PipelineConfig(seed=2))
     assert emb.provenance["graph_hash"] == triangle.content_hash()
     assert emb.provenance["config"]["seed"] == 2
+
+
+def test_pipeline_hashes_graph_once(barbell, monkeypatch):
+    # the summary reuses the hash the embedding's provenance already holds
+    from spherembed import Graph
+
+    hash_of = Graph.content_hash
+    calls = []
+    monkeypatch.setattr(Graph, "content_hash", lambda g: calls.append(g) or hash_of(g))
+    _, emb, _, summary = run_pipeline(barbell, PipelineConfig(d0=4, k=2, restarts=1))
+    assert calls == [barbell]
+    assert summary.graph["hash"] == emb.provenance["graph_hash"] == hash_of(barbell)
