@@ -34,7 +34,7 @@ for kind in ("modularity", "normlap"):
     print("  spectrum head:", np.array2string(head, precision=4))
 
 embedding, part = results["modularity"]
-write_spectrum_csv(embedding, out / "spectrum.csv")
+(out / "spectrum.csv").write_text(write_spectrum_csv(embedding), encoding="utf-8")
 svg = render_scatter_svg(embedding.spherical(), part.labels)
 (out / "embedding.svg").write_text(svg, encoding="utf-8")
 print(f"\nwrote {out / 'spectrum.csv'} and {out / 'embedding.svg'}")

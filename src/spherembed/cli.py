@@ -1,9 +1,9 @@
 """Command-line interface: embed, partition, and plot subcommands.
 
 All outputs are deterministic for fixed inputs, flags, and seed. Files are
-written only after a command's computation fully succeeds, so failed runs
-leave no partial outputs. Exit codes: 0 success, 1 numerical failure,
-2 usage or input errors.
+written only after a command's computation fully succeeds, and then all or
+none of them, so failed runs leave no partial outputs. Exit codes:
+0 success, 1 numerical failure, 2 usage or input errors.
 """
 
 import argparse
@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,38 +26,46 @@ from .plotting import render_scatter_svg
 from .solver import write_trace_csv
 
 OUTPUT_DIR_ENV = "SPHEREMBED_OUTPUT_DIR"
+DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 
 
 def _add_embed_options(p):
     p.add_argument("--input", required=True, help="edge-list file")
     p.add_argument("--descriptor", choices=["modularity", "normlap"],
-                   default="modularity", help="descriptor matrix")
-    p.add_argument("--d0", type=int, default=30,
+                   default=DEFAULTS["descriptor"], help="descriptor matrix")
+    p.add_argument("--d0", type=int, default=DEFAULTS["d0"],
                    help="embedding dimension upper bound (clamped to n)")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative objective tolerance")
-    p.add_argument("--max-iter", type=int, default=10000, help="iteration cap")
-    p.add_argument("--momentum", action=argparse.BooleanOptionalAction, default=True,
-                   help="use the momentum solver")
-    p.add_argument("--momentum-variant", choices=["main", "appendix"], default="main",
+    p.add_argument("--tol", type=float, default=DEFAULTS["tol"],
+                   help="relative objective tolerance")
+    p.add_argument("--max-iter", type=int, default=DEFAULTS["max_iter"],
+                   help="iteration cap")
+    p.add_argument("--momentum", action=argparse.BooleanOptionalAction,
+                   default=DEFAULTS["momentum"], help="use the momentum solver")
+    p.add_argument("--momentum-variant", choices=["main", "appendix"],
+                   default=DEFAULTS["momentum_variant"],
                    help="which momentum update to use")
-    p.add_argument("--shift-epsilon", type=float, default=0.0,
+    p.add_argument("--shift-epsilon", type=float, default=DEFAULTS["shift_epsilon"],
                    help="extra diagonal dominance margin")
-    p.add_argument("--epsilon", type=float, default=0.01,
+    p.add_argument("--epsilon", type=float, default=DEFAULTS["epsilon"],
                    help="effective-dimension threshold")
-    p.add_argument("--seed", type=int, default=0, help="run seed")
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"], help="run seed")
     p.add_argument("--embedding-kind", choices=["spherical", "ellipsoidal"],
-                   default="spherical", help="coordinate system for the embedding CSV")
+                   default=DEFAULTS["embedding_kind"],
+                   help="coordinate system for the embedding CSV")
     p.add_argument("--trace-delta", action="store_true",
                    help="add the criticality column to the trace CSV "
                         "(plain solver only, --no-momentum)")
 
 
 def _add_partition_options(p):
-    p.add_argument("--k", type=int, default=100,
+    p.add_argument("--k", type=int, default=DEFAULTS["k"],
                    help="initial centroid count (clamped to n)")
-    p.add_argument("--restarts", type=int, default=5, help="partitioner restarts")
-    p.add_argument("--max-rounds", type=int, default=200, help="rounds per restart")
-    p.add_argument("--jobs", type=int, default=None, help="parallel restart workers")
+    p.add_argument("--restarts", type=int, default=DEFAULTS["restarts"],
+                   help="partitioner restarts")
+    p.add_argument("--max-rounds", type=int, default=DEFAULTS["max_rounds"],
+                   help="rounds per restart")
+    p.add_argument("--jobs", type=int, default=DEFAULTS["jobs"],
+                   help="parallel restart workers")
     p.add_argument("--truth", help="ground-truth community file for NMI")
 
 
@@ -105,30 +114,39 @@ def _output_dir(args):
     return Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
 
 
-def _config_from(args, with_partition=False):
-    kwargs = dict(descriptor=args.descriptor, d0=args.d0, tol=args.tol,
-                  max_iter=args.max_iter, momentum=args.momentum,
-                  momentum_variant=args.momentum_variant,
-                  shift_epsilon=args.shift_epsilon, epsilon=args.epsilon,
-                  seed=args.seed, embedding_kind=args.embedding_kind)
-    if with_partition:
-        kwargs.update(k=args.k, restarts=args.restarts,
-                      max_rounds=args.max_rounds, jobs=args.jobs)
-    return PipelineConfig(**kwargs)
+def _config_from(args):
+    return PipelineConfig(**{name: getattr(args, name) for name in DEFAULTS
+                             if hasattr(args, name)})
 
 
 def _write_all(outputs):
-    for path, _ in outputs:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    for path, text in outputs:
-        path.write_text(text, encoding="utf-8")
+    """Write (path, text) pairs all or none.
+
+    Every text goes to a temporary file beside its target first; only when
+    all are written does each replace its target, so a failed write leaves
+    neither an artifact nor a temporary file behind.
+    """
+    temps = []
+    try:
+        for path, text in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            temps[-1].write_text(text, encoding="utf-8")
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
-def _capture(write, *args):
-    import io
-    buf = io.StringIO()
-    write(*args, buf)
-    return buf.getvalue()
+def _embedding_outputs(outdir, args, graph, result, embedding):
+    return [
+        (outdir / "embedding.csv",
+         write_embedding_csv(embedding, graph, kind=args.embedding_kind)),
+        (outdir / "spectrum.csv", write_spectrum_csv(embedding)),
+        (outdir / "trace.csv", write_trace_csv(result, include_delta=args.trace_delta)),
+    ]
 
 
 def cmd_embed(args):
@@ -140,17 +158,8 @@ def cmd_embed(args):
     summary = summarize(graph, config=cfg.echo(), solve_result=result,
                         embedding=embedding)
     elapsed = time.perf_counter() - t0
-    outputs = [
-        (outdir / "embedding.csv",
-         _capture(lambda r, g, d: write_embedding_csv(r, g, d, kind=cfg.embedding_kind),
-                  embedding, graph)),
-        (outdir / "spectrum.csv", _capture(write_spectrum_csv, embedding)),
-        (outdir / "trace.csv",
-         _capture(lambda r, d: write_trace_csv(r, d, include_delta=args.trace_delta),
-                  result)),
-        (outdir / "summary.json", _capture(write_summary_json, summary)),
-    ]
-    _write_all(outputs)
+    _write_all(_embedding_outputs(outdir, args, graph, result, embedding)
+               + [(outdir / "summary.json", write_summary_json(summary))])
     if args.timings:
         print(f"embed stage: {elapsed:.3f}s", file=sys.stderr)
     return 0
@@ -161,7 +170,7 @@ def cmd_partition(args):
         raise EdgeListError("partition needs --embedding CSV or --pipeline")
     outdir = _output_dir(args)
     graph = load_edge_list(args.input)
-    cfg = _config_from(args, with_partition=True)
+    cfg = _config_from(args)
     truth = None
     if args.truth:
         truth = load_ground_truth(args.truth, graph)
@@ -170,15 +179,7 @@ def cmd_partition(args):
     t0 = time.perf_counter()
     if args.pipeline:
         result, embedding, part, summary = run_pipeline(graph, cfg, truth=truth)
-        outputs += [
-            (outdir / "embedding.csv",
-             _capture(lambda r, g, d: write_embedding_csv(r, g, d, kind=cfg.embedding_kind),
-                      embedding, graph)),
-            (outdir / "spectrum.csv", _capture(write_spectrum_csv, embedding)),
-            (outdir / "trace.csv",
-             _capture(lambda r, d: write_trace_csv(r, d, include_delta=args.trace_delta),
-                      result)),
-        ]
+        outputs = _embedding_outputs(outdir, args, graph, result, embedding)
     else:
         labels, rows = read_embedding_csv(args.embedding)
         expected = [str(lab) for lab in graph.node_labels]
@@ -190,12 +191,11 @@ def cmd_partition(args):
         summary = summarize(graph, config=cfg.echo(with_partition=True),
                             partition=part, nmi_value=nmi_value)
     elapsed = time.perf_counter() - t0
-    outputs += [
-        (outdir / "partition.csv", _capture(write_partition_csv, part, graph)),
-        (outdir / "run_log.json", _capture(write_run_log, part)),
-        (outdir / "summary.json", _capture(write_summary_json, summary)),
-    ]
-    _write_all(outputs)
+    _write_all(outputs + [
+        (outdir / "partition.csv", write_partition_csv(part, graph)),
+        (outdir / "run_log.json", write_run_log(part)),
+        (outdir / "summary.json", write_summary_json(summary)),
+    ])
     if args.timings:
         print(f"partition stage: {elapsed:.3f}s", file=sys.stderr)
     return 0
@@ -220,9 +220,7 @@ def cmd_plot(args):
         except KeyError as exc:
             raise EdgeListError(f"partition CSV is missing node {exc.args[0]!r}") from None
     svg = render_scatter_svg(coords, cluster_labels)
-    out = Path(args.output) if args.output else outdir / "embedding.svg"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg, encoding="utf-8")
+    _write_all([(Path(args.output) if args.output else outdir / "embedding.svg", svg)])
     return 0
 
 

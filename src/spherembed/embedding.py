@@ -113,8 +113,8 @@ def truncate_embedding(result):
     return replace(result, U=result.U[:, :d], s=result.s[:d], d_eff=d)
 
 
-def write_embedding_csv(result, graph, dest, kind="spherical"):
-    """Write "node,coord_1..coord_r" rows in original-label order."""
+def write_embedding_csv(result, graph, kind="spherical"):
+    """Text of "node,coord_1..coord_r" rows in original-label order."""
     if kind == "spherical":
         coords = result.spherical()
     elif kind == "ellipsoidal":
@@ -127,11 +127,7 @@ def write_embedding_csv(result, graph, dest, kind="spherical"):
     for i in range(result.n):
         values = ",".join(repr(float(v)) for v in coords[i])
         lines.append(f"{graph.node_labels[i]},{values}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def read_embedding_csv(source):
@@ -153,13 +149,9 @@ def read_embedding_csv(source):
     return labels, np.array(rows)
 
 
-def write_spectrum_csv(result, dest):
-    """Write "index,eigenvalue_of_rho_over_n" with 1-based index."""
+def write_spectrum_csv(result):
+    """Text of "index,eigenvalue_of_rho_over_n" with 1-based index."""
     lines = ["index,eigenvalue_of_rho_over_n"]
     for i, lam in enumerate(result.rho_spectrum(), start=1):
         lines.append(f"{i},{repr(float(lam))}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
+    return "\n".join(lines) + "\n"

@@ -272,8 +272,11 @@ def load_ground_truth(source, graph, ignore_extra=False):
     Community ids are canonicalized to 0..k-1 by first appearance in the
     file. Every graph node must be covered; node labels absent from the
     graph raise unless ignore_extra is set (useful when the graph loader
-    dropped nodes outside the largest connected component).
+    dropped nodes outside the largest connected component). A node token
+    is read as the graph's labels are: as an integer on an all-integer
+    graph ("07" is node 7), as the string itself otherwise.
     """
+    int_labels = isinstance(graph.node_labels[0], (int, np.integer))
     assignments = {}
     order = {}
     for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
@@ -283,7 +286,7 @@ def load_ground_truth(source, graph, ignore_extra=False):
         tokens = text.replace(",", " ").split()
         if len(tokens) != 2:
             raise EdgeListError(f"line {lineno}: expected 'node community', got {len(tokens)} tokens")
-        node = _normalize_labels([tokens[0]])[0]
+        node = _normalize_labels([tokens[0]])[0] if int_labels else tokens[0]
         if node not in graph.label_index:
             if ignore_extra:
                 continue
@@ -298,13 +301,9 @@ def load_ground_truth(source, graph, ignore_extra=False):
     return np.array([assignments[lab] for lab in graph.node_labels], dtype=np.int64)
 
 
-def write_edge_list(g, dest):
-    """Serialize the graph as one "a b" line per edge, using original labels."""
+def write_edge_list(g):
+    """Text of the graph as one "a b" line per edge, using original labels."""
     labels = g.node_labels
     lines = [f"# nodes={g.n} edges={g.m}"]
     lines += [f"{labels[i]} {labels[j]}" for i, j in g.edges()]
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
+    return "\n".join(lines) + "\n"

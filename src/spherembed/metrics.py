@@ -8,7 +8,6 @@ normalizes mutual information by the arithmetic mean of the entropies.
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -74,12 +73,11 @@ class RunSummary:
     solver: dict = None
     embedding: dict = None
     partition: dict = None
-    timings_sec: dict = None
     schema_version: int = 1
 
     def to_dict(self):
         out = {"schema_version": self.schema_version, "graph": self.graph}
-        for key in ("config", "solver", "embedding", "partition", "timings_sec"):
+        for key in ("config", "solver", "embedding", "partition"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -90,12 +88,10 @@ class RunSummary:
 
 
 def summarize(graph, config=None, solve_result=None, embedding=None,
-              partition=None, nmi_value=None, timings=None):
+              partition=None, nmi_value=None):
     """Assemble a RunSummary from pipeline stage outputs.
 
-    Only sections for stages that actually ran are included. Timings are
-    optional and left out by default so that summaries for identical
-    inputs are byte-identical.
+    Only sections for stages that actually ran are included.
     """
     # an embedding from run_embedding already records the graph's hash
     graph_hash = None if embedding is None else (embedding.provenance or {}).get("graph_hash")
@@ -138,13 +134,9 @@ def summarize(graph, config=None, solve_result=None, embedding=None,
                 raise ValueError(f"nmi {nmi_value} outside [0, 1]")
             partition_info["nmi"] = float(nmi_value)
     return RunSummary(graph=graph_info, config=config, solver=solver_info,
-                      embedding=embedding_info, partition=partition_info,
-                      timings_sec=timings)
+                      embedding=embedding_info, partition=partition_info)
 
 
-def write_summary_json(summary, dest):
-    text = summary.to_json()
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
+def write_summary_json(summary):
+    """Text of the run summary as versioned JSON."""
+    return summary.to_json()

@@ -18,7 +18,6 @@ to the pre-move centroids.
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -140,23 +139,15 @@ def best_of_restarts(rows, graph, k, restarts, rng, max_rounds=200, jobs=None):
     return winner
 
 
-def write_partition_csv(partition, graph, dest):
-    """Write "node_label,cluster_id" rows in original-label order."""
+def write_partition_csv(partition, graph):
+    """Text of "node_label,cluster_id" rows in original-label order."""
     lines = ["node_label,cluster_id"]
     for i in range(len(partition.labels)):
         lines.append(f"{graph.node_labels[i]},{int(partition.labels[i])}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def write_run_log(partition, dest):
-    """Write the per-round objective/modularity/cluster-count history as JSON."""
+def write_run_log(partition):
+    """Text of the per-round objective/modularity/cluster-count history as JSON."""
     payload = {"schema_version": 1, "rounds": partition.history}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -10,7 +10,7 @@ Embedding dimension d0 and centroid count k are clamped to the node count,
 since column sampling and centroid seeding draw without replacement.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,16 +23,12 @@ from .solver import SolverConfig, solve
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(SolverConfig):
+    """Solver settings plus those of the descriptor, embedding and partition stages."""
+
     descriptor: str = "modularity"
-    d0: int = 30
-    tol: float = 1e-8
-    max_iter: int = 10000
-    momentum: bool = True
-    momentum_variant: str = "main"
     shift_epsilon: float = 0.0
     epsilon: float = 0.01
-    seed: int = 0
     k: int = 100
     restarts: int = 5
     max_rounds: int = 200
@@ -40,24 +36,14 @@ class PipelineConfig:
     embedding_kind: str = "spherical"
 
     def echo(self, with_partition=False):
-        """Config section for the run summary."""
-        out = {
-            "descriptor": self.descriptor,
-            "d0": int(self.d0),
-            "tol": float(self.tol),
-            "max_iter": int(self.max_iter),
-            "momentum": bool(self.momentum),
-            "shift_epsilon": float(self.shift_epsilon),
-            "epsilon": float(self.epsilon),
-            "seed": int(self.seed),
-            "embedding_kind": self.embedding_kind,
-        }
-        if self.momentum:
-            out["momentum_variant"] = self.momentum_variant
-        if with_partition:
-            out.update(k=int(self.k), restarts=int(self.restarts),
-                       max_rounds=int(self.max_rounds))
-        return out
+        """Config section for the run summary; jobs never changes a result."""
+        skip = {"jobs"}
+        if not self.momentum:
+            skip.add("momentum_variant")
+        if not with_partition:
+            skip.update(("k", "restarts", "max_rounds"))
+        return {f.name: f.type(getattr(self, f.name)) for f in fields(self)
+                if f.name not in skip}
 
 
 def seed_tree(cfg):
@@ -69,14 +55,9 @@ def run_embedding(graph, cfg, rng=None):
     """Solve for the embedding of a graph; returns (SolveResult, EmbeddingResult)."""
     if rng is None:
         rng = seed_tree(cfg)[0]
-    d0_eff = min(cfg.d0, graph.n)
     op = make_descriptor(graph, cfg.descriptor)
     shifted = ShiftedOperator(op, cfg.shift_epsilon)
-    solver_cfg = SolverConfig(d0=d0_eff, tol=cfg.tol, max_iter=cfg.max_iter,
-                              momentum=cfg.momentum,
-                              momentum_variant=cfg.momentum_variant,
-                              seed=cfg.seed)
-    result = solve(shifted, solver_cfg, rng=rng)
+    result = solve(shifted, replace(cfg, d0=min(cfg.d0, graph.n)), rng=rng)
     embedding = svd_embedding(result.x, epsilon=cfg.epsilon,
                               provenance={"config": cfg.echo(),
                                           "graph_hash": graph.content_hash()})

@@ -11,7 +11,6 @@ runs are reproducible across platforms.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -158,8 +157,8 @@ def solve(k, cfg, rng=None, x0=None):
                        delta_trace=np.array(deltas) if plain else None)
 
 
-def write_trace_csv(result, dest, include_delta=False):
-    """Write the objective trace as "iteration,objective[,delta_criterion]"."""
+def write_trace_csv(result, include_delta=False):
+    """Text of the objective trace as "iteration,objective[,delta_criterion]"."""
     rows = []
     header = ["iteration", "objective"]
     with_delta = include_delta and result.delta_trace is not None
@@ -170,8 +169,4 @@ def write_trace_csv(result, dest, include_delta=False):
         if with_delta:
             row.append(repr(float(result.delta_trace[i])))
         rows.append(row)
-    text = "\n".join(",".join(r) for r in [header] + rows) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"

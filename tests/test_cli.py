@@ -1,14 +1,25 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import BARBELL_EDGES
-from spherembed import cli
+from spherembed import PlantedPartitionSpec, cli, generate_planted_partition, write_edge_list
 
 EMBED_FILES = ["embedding.csv", "spectrum.csv", "trace.csv", "summary.json"]
+PIPELINE_FILES = EMBED_FILES + ["partition.csv", "run_log.json"]
+# the summary's config section under default flags, as written before the
+# CLI built its config from the dataclass fields
+DEFAULT_EMBED_CONFIG = {
+    "d0": 30, "descriptor": "modularity", "embedding_kind": "spherical", "epsilon": 0.01,
+    "max_iter": 10000, "momentum": True, "momentum_variant": "main", "seed": 0,
+    "shift_epsilon": 0.0, "tol": 1e-08,
+}
+DEFAULT_PARTITION_CONFIG = {**DEFAULT_EMBED_CONFIG, "k": 100, "max_rounds": 200,
+                            "restarts": 5}
 
 
 def write_edges(path, edges):
@@ -162,6 +173,65 @@ def test_partition_deterministic_bytes(tmp_path, barbell_file):
                   "--d0", "6", "--k", "4", "--seed", "3", "--output-dir", str(out)])
     for name in EMBED_FILES + ["partition.csv", "run_log.json"]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_partition_jobs_byte_identical(tmp_path):
+    graph, _ = generate_planted_partition(
+        PlantedPartitionSpec(n=120, k=3, p_in=0.3, p_out=0.02, seed=1))
+    edges = tmp_path / "planted.txt"
+    edges.write_text(write_edge_list(graph))
+    for jobs in ("1", "2"):
+        rc = cli.main(["partition", "--input", str(edges), "--pipeline", "--d0", "8",
+                       "--restarts", "6", "--jobs", jobs,
+                       "--output-dir", str(tmp_path / f"jobs{jobs}")])
+        assert rc == 0
+    for name in PIPELINE_FILES:
+        assert (tmp_path / "jobs1" / name).read_bytes() == \
+            (tmp_path / "jobs2" / name).read_bytes()
+
+
+def test_summary_config_section_under_default_flags(tmp_path, barbell_file):
+    cli.main(["embed", "--input", barbell_file, "--output-dir", str(tmp_path / "e")])
+    cli.main(["partition", "--input", barbell_file, "--pipeline",
+              "--output-dir", str(tmp_path / "p")])
+    # compared as JSON text too, so an int written as a float also fails
+    for out, want in (("e", DEFAULT_EMBED_CONFIG), ("p", DEFAULT_PARTITION_CONFIG)):
+        config = read_json(tmp_path / out / "summary.json")["config"]
+        assert config == want
+        assert json.dumps(config, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_bad_solver_value_exits_2_without_solving(tmp_path, barbell_file):
+    emb_dir = tmp_path / "emb"
+    cli.main(["partition", "--input", barbell_file, "--pipeline", "--d0", "6",
+              "--k", "4", "--output-dir", str(emb_dir)])
+    # the config validates its solver fields when built, even when no solver runs
+    rc = cli.main(["partition", "--input", barbell_file,
+                   "--embedding", str(emb_dir / "embedding.csv"), "--tol", "5",
+                   "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_write_failure_leaves_no_partial_outputs(tmp_path, barbell_file, monkeypatch):
+    write_text = Path.write_text
+    calls = []
+
+    def third_write_fails(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == 3:
+            raise PermissionError(f"cannot write {self}")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", third_write_fails)
+    out = tmp_path / "out"
+    rc = cli.main(["partition", "--input", barbell_file, "--pipeline",
+                   "--d0", "6", "--k", "4", "--output-dir", str(out)])
+    assert rc == 2
+    assert len(calls) == 3
+    for name in PIPELINE_FILES:
+        assert not (out / name).exists()
+    assert not out.exists() or list(out.iterdir()) == []  # no temporary file either
 
 
 def test_plot_with_partition_colors(tmp_path, barbell_file):

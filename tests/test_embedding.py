@@ -106,9 +106,7 @@ def test_non_finite_input_rejected():
 
 def test_embedding_csv_round_trip(rng, barbell):
     emb = svd_embedding(unit_row_matrix(rng, n=6, d=3))
-    buf = io.StringIO()
-    write_embedding_csv(emb, barbell, buf, kind="spherical")
-    text = buf.getvalue()
+    text = write_embedding_csv(emb, barbell, kind="spherical")
     assert text.splitlines()[0] == "node,coord_1,coord_2,coord_3"
     labels, rows = read_embedding_csv(io.StringIO(text))
     assert labels == [str(v) for v in barbell.node_labels]
@@ -117,17 +115,14 @@ def test_embedding_csv_round_trip(rng, barbell):
 
 def test_ellipsoidal_csv_kind(rng, barbell):
     emb = svd_embedding(unit_row_matrix(rng, n=6, d=3))
-    buf = io.StringIO()
-    write_embedding_csv(emb, barbell, buf, kind="ellipsoidal")
-    _, rows = read_embedding_csv(io.StringIO(buf.getvalue()))
+    text = write_embedding_csv(emb, barbell, kind="ellipsoidal")
+    _, rows = read_embedding_csv(io.StringIO(text))
     assert np.array_equal(rows, emb.ellipsoidal())
 
 
 def test_spectrum_csv_layout(rng):
     emb = svd_embedding(unit_row_matrix(rng, n=8, d=3))
-    buf = io.StringIO()
-    write_spectrum_csv(emb, buf)
-    lines = buf.getvalue().splitlines()
+    lines = write_spectrum_csv(emb).splitlines()
     assert lines[0] == "index,eigenvalue_of_rho_over_n"
     assert len(lines) == emb.rank + 1
     first = float(lines[1].split(",")[1])

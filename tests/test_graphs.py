@@ -117,11 +117,29 @@ def test_ground_truth_unknown_node_rejected(barbell):
     assert len(truth) == 6
 
 
+def test_ground_truth_tokens_read_as_graph_labels():
+    # string labels: an integer-looking token is the string itself
+    g = load_edge_list(io.StringIO("1 x\nx 2\n2 1\n"))
+    assert g.node_labels == ("1", "2", "x")
+    truth = load_ground_truth(io.StringIO("1 a\n2 a\nx b\n"), g)
+    assert truth.tolist() == [0, 0, 1]
+    extra = "1 a\n2 a\n07 c\nx b\n"
+    with pytest.raises(EdgeListError, match="line 3: unknown node label '07'"):
+        load_ground_truth(io.StringIO(extra), g)
+    assert load_ground_truth(io.StringIO(extra), g, ignore_extra=True).tolist() == [0, 0, 1]
+    # integer labels: "07" is node 7, and a non-integer token is unknown
+    g = load_edge_list(io.StringIO("07 1\n7 2\n1 2\n"))
+    assert g.node_labels == (1, 2, 7)
+    assert load_ground_truth(io.StringIO("07 a\n1 b\n2 b\n"), g).tolist() == [1, 1, 0]
+    extra = "07 a\n1 b\nx c\n2 b\n"
+    with pytest.raises(EdgeListError, match="line 3: unknown node label 'x'"):
+        load_ground_truth(io.StringIO(extra), g)
+    assert load_ground_truth(io.StringIO(extra), g, ignore_extra=True).tolist() == [1, 1, 0]
+
+
 def test_write_edge_list_round_trip(rng):
     g = random_connected_graph(rng, 11, extra_edges=6)
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    back = load_edge_list(io.StringIO(buf.getvalue()))
+    back = load_edge_list(io.StringIO(write_edge_list(g)))
     assert back.node_labels == g.node_labels
     assert list(back.edges()) == list(g.edges())
 

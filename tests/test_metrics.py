@@ -122,11 +122,9 @@ def test_summary_rejects_bad_values(barbell):
         summarize(barbell, partition=FakePartition())
 
 
-def test_write_summary_json(tmp_path, barbell):
+def test_write_summary_json(barbell):
     s = summarize(barbell, config={"seed": 0})
-    out = tmp_path / "summary.json"
-    write_summary_json(s, out)
-    text = out.read_text()
+    text = write_summary_json(s)
     assert text.endswith("\n")
     assert json.loads(text)["graph"]["hash"] == barbell.content_hash()
     assert isinstance(s, RunSummary)

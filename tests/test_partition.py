@@ -1,6 +1,5 @@
 """Vector partitioning: seeding, synchronous rounds, move gains, restarts."""
 
-import io
 import json
 
 import numpy as np
@@ -207,14 +206,10 @@ def test_vp_step_permutation_consistent(rng):
 def test_partition_csv_and_run_log(rng, barbell):
     rows = unit_rows(rng, 6, 3)
     part = vp_run(rows, barbell, 3, np.random.default_rng(0))
-    buf = io.StringIO()
-    write_partition_csv(part, barbell, buf)
-    lines = buf.getvalue().splitlines()
+    lines = write_partition_csv(part, barbell).splitlines()
     assert lines[0] == "node_label,cluster_id"
     assert len(lines) == 7
 
-    buf = io.StringIO()
-    write_run_log(part, buf)
-    log = json.loads(buf.getvalue())
+    log = json.loads(write_run_log(part))
     assert log["schema_version"] == 1
     assert log["rounds"][0]["round"] == 0

@@ -183,20 +183,15 @@ def test_normlap_descriptor_solves_too(barbell):
 
 
 def test_trace_csv_layout(barbell):
-    import io
-
     res = solve(shifted_op(barbell), SolverConfig(d0=4, seed=0, momentum=False))
-    buf = io.StringIO()
-    write_trace_csv(res, buf)
-    lines = buf.getvalue().splitlines()
+    lines = write_trace_csv(res).splitlines()
     assert lines[0] == "iteration,objective"
     assert len(lines) == len(res.trace) + 1
     assert lines[1].startswith("0,")
 
-    buf = io.StringIO()
-    write_trace_csv(res, buf, include_delta=True)
-    header = buf.getvalue().splitlines()[0]
+    text = write_trace_csv(res, include_delta=True)
+    header = text.splitlines()[0]
     assert header == "iteration,objective,delta_criterion"
     # float cells round-trip exactly through repr
-    cell = buf.getvalue().splitlines()[-1].split(",")[1]
+    cell = text.splitlines()[-1].split(",")[1]
     assert float(cell) == res.trace[-1]
