@@ -12,9 +12,10 @@ most epsilon * n of nuclear mass.
 """
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
+
+from .graphs import _read_text
 
 RANK_RTOL = 1e-10  # relative singular value threshold for the numerical rank
 
@@ -131,22 +132,45 @@ def write_embedding_csv(result, graph, kind="spherical"):
 
 
 def read_embedding_csv(source):
-    """Read an embedding CSV back into (node label strings, coordinate matrix)."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
+    """Read an embedding CSV back into (node label strings, coordinate matrix).
+
+    A leading UTF-8 byte-order mark is dropped and blank lines are skipped.
+    The label is everything before a row's first comma. Every row must have
+    as many cells as the header and every coordinate must be finite; a row
+    that breaks either rule raises ValueError naming its line number.
+    """
+    lines = _read_text(source).splitlines()
     if not lines or not lines[0].startswith("node,"):
         raise ValueError("not an embedding CSV: missing 'node,coord_...' header")
-    labels = []
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        labels.append(parts[0])
-        rows.append([float(v) for v in parts[1:]])
-    return labels, np.array(rows)
+    body = [line for line in lines[1:] if line.strip()]
+    if not body:
+        raise ValueError("embedding CSV has no coordinate rows")
+    width = lines[0].count(",") + 1
+    cells_per_row = np.array([line.count(",") for line in body]) + 1
+    ragged = np.flatnonzero(cells_per_row != width)
+    if len(ragged):
+        row = int(ragged[0])
+        raise ValueError(f"line {_line_number(lines, row)}: expected {width} cells "
+                         f"as in the header, got {int(cells_per_row[row])}")
+    labels, cells = [], []
+    for line in body:
+        label, _, rest = line.partition(",")
+        labels.append(label)
+        cells.append(rest)
+    # numpy's C parser rounds exactly as float() does
+    coords = np.loadtxt(cells, delimiter=",", comments=None, ndmin=2)
+    if len(coords) != len(cells):  # it skips "", the cells of "label," under "node,"
+        raise ValueError(f"line {_line_number(lines, cells.index(''))}: empty coordinate")
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"line {_line_number(lines, row)}: non-finite coordinate")
+    return labels, coords
+
+
+def _line_number(lines, row):
+    """1-based line number of the row-th non-blank line after the header."""
+    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
 
 def write_spectrum_csv(result):

@@ -28,10 +28,10 @@ def modularity_of_partition(graph, labels):
     k = int(labels.max()) + 1
     two_m = float(graph.degrees.sum())
     deg_sums = np.bincount(labels, weights=graph.degrees, minlength=k)
-    adj = graph.adjacency
-    row = np.repeat(np.arange(graph.n), np.diff(adj.indptr))
-    internal = labels[row] == labels[adj.indices]
-    internal_deg = np.bincount(labels[row][internal], minlength=k)  # = 2 m_c
+    # each stored entry's row cluster: a node's label repeated over its CSR row
+    row_labels = np.repeat(labels, graph.degrees)
+    internal = row_labels == labels[graph.adjacency.indices]
+    internal_deg = np.bincount(row_labels[internal], minlength=k)  # = 2 m_c
     return float(np.sum(internal_deg / two_m - (deg_sums / two_m) ** 2))
 
 

@@ -47,14 +47,16 @@ def z_tilde_value(centroids):
 
 
 def _centroids_for(rows, labels, k):
-    R = np.zeros((k, rows.shape[1]))
-    np.add.at(R, labels, rows)
-    return R
+    # one bin per (cluster, column); each bin sums its rows in row order
+    d = rows.shape[1]
+    keys = (labels[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(keys, weights=rows.ravel(), minlength=k * d).reshape(k, d)
 
 
 def _compact(rows, labels):
-    used, labels = np.unique(labels, return_inverse=True)
-    return labels, _centroids_for(rows, labels, len(used))
+    used = np.bincount(labels) > 0
+    labels = (np.cumsum(used) - 1)[labels]
+    return labels, _centroids_for(rows, labels, int(used.sum()))
 
 
 def init_centroids(rows, degrees, k, rng):

@@ -15,6 +15,7 @@ PALETTE = [
 
 PANEL = 360
 MARGIN = 30
+CIRCLE = '<circle cx="{:.3f}" cy="{:.3f}" r="3" fill="{}" fill-opacity="0.8"/>'
 
 
 def _scale(values, span):
@@ -43,7 +44,7 @@ def render_scatter_svg(coords, labels=None):
         labels = np.asarray(labels, dtype=int)
         if len(labels) != coords.shape[0]:
             raise ValueError("labels length does not match coordinate rows")
-        colors = [PALETTE[l % len(PALETTE)] for l in labels]
+        colors = np.array(PALETTE)[labels % len(PALETTE)].tolist()
 
     width = len(pairs) * (PANEL + 2 * MARGIN)
     height = PANEL + 2 * MARGIN
@@ -61,10 +62,8 @@ def render_scatter_svg(coords, labels=None):
                      'fill="none" stroke="#cccccc"/>')
         parts.append(f'<text x="{x0 + 4}" y="{y0 + 14}" font-size="12" '
                      f'fill="#555555">coord {ax + 1} vs coord {ay + 1}</text>')
-        for i in range(coords.shape[0]):
-            cx = x0 + sx(coords[i, ax])
-            cy = y0 + PANEL - sy(coords[i, ay])
-            parts.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="3" '
-                         f'fill="{colors[i]}" fill-opacity="0.8"/>')
+        cx = x0 + sx(coords[:, ax])
+        cy = y0 + PANEL - sy(coords[:, ay])
+        parts.extend(map(CIRCLE.format, cx.tolist(), cy.tolist(), colors))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -14,6 +14,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from spherembed import EdgeListError, Graph, load_edge_list
+from spherembed.plotting import MARGIN, PALETTE, PANEL
 
 
 def make_graph(edges):
@@ -237,3 +238,112 @@ def reference_largest_connected_component(g):
     degrees = np.diff(sub.indptr).astype(np.int64)
     labels = tuple(g.node_labels[i] for i in keep)
     return Graph(adjacency=sub, degrees=degrees, node_labels=labels)
+
+
+# The partition-round kernels, modularity, embedding CSV reader and SVG
+# scatter as they stood before the reuse path became array-native: np.add.at,
+# np.unique, a 2m-long row index per modularity call, float() per cell and
+# one f-string per circle. Kept verbatim, bar the names, as the references
+# the array versions must match bit for bit.
+
+def reference_modularity_of_partition(graph, labels):
+    """sum_c [ m_c / m - (D_c / 2m)^2 ] over clusters c.
+
+    m_c counts edges internal to cluster c and D_c sums its degrees.
+    """
+    labels = np.asarray(labels)
+    if labels.shape != (graph.n,):
+        raise ValueError(f"labels must have length {graph.n}")
+    if labels.min() < 0:
+        raise ValueError("cluster ids must be non-negative")
+    k = int(labels.max()) + 1
+    two_m = float(graph.degrees.sum())
+    deg_sums = np.bincount(labels, weights=graph.degrees, minlength=k)
+    adj = graph.adjacency
+    row = np.repeat(np.arange(graph.n), np.diff(adj.indptr))
+    internal = labels[row] == labels[adj.indices]
+    internal_deg = np.bincount(labels[row][internal], minlength=k)  # = 2 m_c
+    return float(np.sum(internal_deg / two_m - (deg_sums / two_m) ** 2))
+
+
+def reference_centroids_for(rows, labels, k):
+    R = np.zeros((k, rows.shape[1]))
+    np.add.at(R, labels, rows)
+    return R
+
+
+def reference_compact(rows, labels):
+    used, labels = np.unique(labels, return_inverse=True)
+    return labels, reference_centroids_for(rows, labels, len(used))
+
+
+def reference_read_embedding_csv(source):
+    """Read an embedding CSV back into (node label strings, coordinate matrix)."""
+    if hasattr(source, "read"):
+        lines = source.read().splitlines()
+    else:
+        lines = Path(source).read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith("node,"):
+        raise ValueError("not an embedding CSV: missing 'node,coord_...' header")
+    labels = []
+    rows = []
+    for line in lines[1:]:
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        labels.append(parts[0])
+        rows.append([float(v) for v in parts[1:]])
+    return labels, np.array(rows)
+
+
+def _reference_scale(values, span):
+    lo, hi = float(values.min()), float(values.max())
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = 0.05 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+    return lambda v: (v - lo) / (hi - lo) * span
+
+
+def reference_render_scatter_svg(coords, labels=None):
+    """Render coordinate pairs (1,2) — and (1,3) when present — as SVG panels.
+
+    Points are colored by cluster label through the fixed palette; without
+    labels a single color is used. Requires at least 2 coordinates per node.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] < 2:
+        raise ValueError("scatter plotting needs at least 2 coordinates per node; "
+                         "for 1-dimensional embeddings export the spectrum instead")
+    pairs = [(0, 1)] if coords.shape[1] == 2 else [(0, 1), (0, 2)]
+    if labels is None:
+        colors = [PALETTE[0]] * coords.shape[0]
+    else:
+        labels = np.asarray(labels, dtype=int)
+        if len(labels) != coords.shape[0]:
+            raise ValueError("labels length does not match coordinate rows")
+        colors = [PALETTE[l % len(PALETTE)] for l in labels]
+
+    width = len(pairs) * (PANEL + 2 * MARGIN)
+    height = PANEL + 2 * MARGIN
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+    for p, (ax, ay) in enumerate(pairs):
+        x0 = p * (PANEL + 2 * MARGIN) + MARGIN
+        y0 = MARGIN
+        sx = _reference_scale(coords[:, ax], PANEL)
+        sy = _reference_scale(coords[:, ay], PANEL)
+        parts.append(f'<rect x="{x0}" y="{y0}" width="{PANEL}" height="{PANEL}" '
+                     'fill="none" stroke="#cccccc"/>')
+        parts.append(f'<text x="{x0 + 4}" y="{y0 + 14}" font-size="12" '
+                     f'fill="#555555">coord {ax + 1} vs coord {ay + 1}</text>')
+        for i in range(coords.shape[0]):
+            cx = x0 + sx(coords[i, ax])
+            cy = y0 + PANEL - sy(coords[i, ay])
+            parts.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="3" '
+                         f'fill="{colors[i]}" fill-opacity="0.8"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

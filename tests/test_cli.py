@@ -253,6 +253,24 @@ def test_plot_with_partition_colors(tmp_path, barbell_file):
     assert again.read_bytes() == (out / "plot.svg").read_bytes()
 
 
+def test_non_finite_embedding_exits_2_without_outputs(tmp_path, barbell_file):
+    emb_dir = tmp_path / "emb"
+    cli.main(["partition", "--input", barbell_file, "--pipeline", "--d0", "6",
+              "--k", "4", "--output-dir", str(emb_dir)])
+    lines = (emb_dir / "embedding.csv").read_text().splitlines()
+    label, _, rest = lines[3].partition(",")
+    lines[3] = ",".join([label, "nan"] + rest.split(",")[1:])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["partition", "--input", barbell_file, "--embedding", str(bad),
+                     "--k", "4", "--output-dir", str(out)]) == 2
+    assert cli.main(["plot", "--embedding", str(bad),
+                     "--partition", str(emb_dir / "partition.csv"),
+                     "--output", str(out / "plot.svg")]) == 2
+    assert not out.exists()
+
+
 def test_plot_rejects_one_dimensional_embedding(tmp_path):
     emb = tmp_path / "one.csv"
     emb.write_text("node,coord_1\n0,1.0\n1,-1.0\n")

@@ -5,7 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from spherembed import (EmbeddingResult, effective_dimension, svd_embedding,
+from oracles import reference_read_embedding_csv
+from spherembed import (EmbeddingResult, Graph, effective_dimension, svd_embedding,
                         truncate_embedding)
 from spherembed.embedding import (read_embedding_csv, write_embedding_csv,
                                   write_spectrum_csv)
@@ -111,6 +112,72 @@ def test_embedding_csv_round_trip(rng, barbell):
     labels, rows = read_embedding_csv(io.StringIO(text))
     assert labels == [str(v) for v in barbell.node_labels]
     assert np.array_equal(rows, emb.spherical())  # repr round-trips exactly
+
+
+def _awkward_csv(rng, n, d):
+    """Writer output for string labels with '#' and values spanning the double range."""
+    values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+    values.flat[rng.integers(0, n * d, size=3)] = [-0.0, 5e-324, -1.7976931348623157e308]
+    labels = [f"#{i}" if i % 3 == 0 else f"n#{i} x" if i % 3 == 1 else str(i)
+              for i in range(n)]
+    graph = Graph.from_edges(n, np.arange(n - 1), np.arange(1, n), labels)
+    emb = EmbeddingResult(U=values, s=np.ones(d), epsilon=0.01, d_eff=d, total_mass=1.0)
+    return write_embedding_csv(emb, graph, kind="ellipsoidal")
+
+
+def _with_blank_lines(rng, text):
+    lines = text.split("\n")
+    for at in sorted(rng.integers(1, len(lines), size=4).tolist(), reverse=True):
+        lines.insert(at, str(rng.choice(["", "  ", "\t"])))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_reader_matches_reference(rng, tmp_path, d):
+    for trial in range(5):
+        text = _awkward_csv(rng, int(rng.integers(2, 60)), d)
+        for variant in (text, text.replace("\n", "\r\n"), _with_blank_lines(rng, text)):
+            path = tmp_path / f"emb{trial}.csv"
+            path.write_bytes(variant.encode())
+            want_labels, want = reference_read_embedding_csv(io.StringIO(variant))
+            for source in (io.StringIO(variant), path, str(path)):
+                got_labels, got = read_embedding_csv(source)
+                assert got_labels == want_labels
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["path", "text stream", "byte stream"])
+def test_reader_ignores_byte_order_mark(tmp_path, kind):
+    text = "node,coord_1,coord_2\na,0.5,-1.25\nb,2.0,3.0\n"
+    marked = "\ufeff" + text
+    if kind == "path":
+        source = tmp_path / "bom.csv"
+        source.write_text(marked, encoding="utf-8")
+    elif kind == "text stream":
+        source = io.StringIO(marked)
+    else:
+        source = io.BytesIO(marked.encode("utf-8"))
+    labels, rows = read_embedding_csv(source)
+    assert labels == ["a", "b"]
+    assert np.array_equal(rows, [[0.5, -1.25], [2.0, 3.0]])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("node,coord_1,coord_2\na,1.0,2.0\nb,nan,2.0\n", "line 3: non-finite"),
+    ("node,coord_1,coord_2\na,1.0,2.0\n\nb,1.0,-inf\n", "line 4: non-finite"),
+    ("node,coord_1,coord_2\r\na,inf,2.0\r\n", "line 2: non-finite"),
+    ("node,coord_1,coord_2\na,1.0,2.0\nb,1.0\n", "line 3: expected 3 cells .* got 2"),
+    ("node,coord_1,coord_2\na,1.0,2.0\n\n\nb,1.0,2.0,3.0\n", "line 5: expected 3 cells .* got 4"),
+    ("node,coord_1\na,1.0,2.0\nb,1.0,2.0\n", "line 2: expected 2 cells .* got 3"),
+    ("node,coord_1,coord_2\na\n", "line 2: expected 3 cells .* got 1"),
+    ("node,\na,1.0\nb,\n", "line 3: empty coordinate"),
+    ("node,coord_1,coord_2\n\n  \n", "no coordinate rows"),
+    ("coord_1,coord_2\na,1.0,2.0\n", "missing 'node,coord_...' header"),
+])
+def test_reader_rejects_malformed_rows(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_embedding_csv(io.StringIO(text))
 
 
 def test_ellipsoidal_csv_kind(rng, barbell):

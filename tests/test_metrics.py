@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (dense_adjacency, modularity_value, random_connected_graph,
-                     reference_nmi)
+                     reference_modularity_of_partition, reference_nmi)
 from spherembed import modularity_of_partition, nmi, summarize
 from spherembed.metrics import RunSummary, write_summary_json
 
@@ -35,6 +35,19 @@ def test_singleton_modularity_closed_form(rng):
     expected = -float(np.sum((g.degrees / (2.0 * g.m)) ** 2))
     q = modularity_of_partition(g, np.arange(g.n))
     assert q == pytest.approx(expected, abs=1e-14)
+
+
+def test_modularity_matches_reference_bitwise(rng):
+    # the internal-entry counts are integers, so the sums must agree to the last bit
+    for _ in range(12):
+        g = random_connected_graph(rng, int(rng.integers(3, 80)), extra_edges=60)
+        ids = rng.choice(5 * g.n, size=int(rng.integers(1, g.n + 1)), replace=False)
+        labelings = [ids[rng.integers(0, len(ids), size=g.n)],  # gapped cluster ids
+                     np.arange(g.n), rng.permutation(g.n) * 7,  # all singletons
+                     np.zeros(g.n, dtype=np.int64), np.full(g.n, 9)]  # one cluster
+        for labels in labelings:
+            assert (modularity_of_partition(g, labels)
+                    == reference_modularity_of_partition(g, labels))
 
 
 def test_modularity_validation(barbell):

@@ -5,10 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from oracles import all_partitions, dense_adjacency, modularity_value, z_tilde_of
-from spherembed import best_of_restarts, init_centroids, vp_run, vp_step
+from oracles import (all_partitions, dense_adjacency, modularity_value,
+                     reference_centroids_for, reference_compact,
+                     reference_modularity_of_partition, z_tilde_of)
+import spherembed.partition as partition_module
+from spherembed import (PlantedPartitionSpec, best_of_restarts, generate_planted_partition,
+                        init_centroids, vp_run, vp_step)
 from spherembed.partition import (write_partition_csv, write_run_log,
-                                  z_tilde_value, _centroids_for)
+                                  z_tilde_value, _centroids_for, _compact)
 from spherembed.solver import project_rows
 
 
@@ -213,3 +217,44 @@ def test_partition_csv_and_run_log(rng, barbell):
     log = json.loads(write_run_log(part))
     assert log["schema_version"] == 1
     assert log["rounds"][0]["round"] == 0
+
+
+def test_compact_matches_reference_on_gapped_labels(rng):
+    for d in (1, 3, 10):
+        rows = rng.standard_normal((300, d))
+        ids = rng.choice(1000, size=int(rng.integers(1, 60)), replace=False)
+        labels = ids[rng.integers(0, len(ids), size=300)]
+        got_labels, got_R = _compact(rows, labels)
+        want_labels, want_R = reference_compact(rows, labels)
+        assert got_labels.dtype == want_labels.dtype
+        assert np.array_equal(got_labels, want_labels)
+        assert got_R.tobytes() == want_R.tobytes()
+        assert (_centroids_for(rows, labels, 1000).tobytes()
+                == reference_centroids_for(rows, labels, 1000).tobytes())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("n, blocks, k, seed", [
+    (150, 3, 4, 1), (240, 4, 12, 2), (300, 5, 60, 3), (120, 2, 119, 4),
+])
+def test_best_of_restarts_matches_reference(n, blocks, k, seed, jobs, monkeypatch):
+    # bitwise equal to the np.add.at / np.unique / full-COO rounds, winner included
+    spec = PlantedPartitionSpec(n=n, k=blocks, p_in=0.15, p_out=0.02, seed=seed)
+    graph, truth = generate_planted_partition(spec)
+    gen = np.random.default_rng(seed)
+    directions = unit_rows(gen, blocks, 6)
+    rows = project_rows(directions[truth] + 0.5 * gen.standard_normal((graph.n, 6)))
+    k = min(k, graph.n - 1)
+    got = best_of_restarts(rows, graph, k, 5, np.random.default_rng(seed), jobs=jobs)
+    monkeypatch.setattr(partition_module, "_centroids_for", reference_centroids_for)
+    monkeypatch.setattr(partition_module, "_compact", reference_compact)
+    monkeypatch.setattr(partition_module, "modularity_of_partition",
+                        reference_modularity_of_partition)
+    want = best_of_restarts(rows, graph, k, 5, np.random.default_rng(seed), jobs=jobs)
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.centroids.shape == want.centroids.shape
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.z_tilde == want.z_tilde and got.modularity == want.modularity
+    assert got.history == want.history
+    assert got.restart_index == want.restart_index

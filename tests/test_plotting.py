@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import reference_render_scatter_svg
 from spherembed.plotting import PALETTE, render_scatter_svg
 
 
@@ -64,3 +65,15 @@ def test_point_count(rng):
     assert render_scatter_svg(pts).count("<circle") == 8
     pts3 = coords(rng, n=8, d=3)
     assert render_scatter_svg(pts3).count("<circle") == 16  # both panels
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_svg_bytes_match_reference(rng, d):
+    for n in (1, 7, 400):
+        pts = coords(rng, n=n, d=d) * 10.0 ** rng.integers(-3, 4, size=d)
+        pts[rng.integers(0, n)] = -0.0
+        for labels in (None, rng.integers(-40, 40, size=n), list(range(n))):
+            got = render_scatter_svg(pts, labels)
+            assert got.encode() == reference_render_scatter_svg(pts, labels).encode()
+    flat = np.column_stack([np.full(5, 2.0), np.arange(5.0), np.full((5, d - 2), -1.0)])
+    assert render_scatter_svg(flat) == reference_render_scatter_svg(flat)  # zero spans
