@@ -7,6 +7,8 @@ none of them, so failed runs leave no partial outputs. Exit codes:
 """
 
 import argparse
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import read_embedding_csv, write_embedding_csv, write_spectrum_csv
-from .graphs import EdgeListError, load_edge_list, load_ground_truth
+from .graphs import EdgeListError, _read_text, load_edge_list, load_ground_truth
 from .metrics import nmi as nmi_metric
 from .metrics import summarize, write_summary_json
 from .partition import write_partition_csv, write_run_log
@@ -27,6 +29,8 @@ from .solver import write_trace_csv
 
 OUTPUT_DIR_ENV = "SPHEREMBED_OUTPUT_DIR"
 DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
+M_MMAP_THRESHOLD = -3  # mallopt(3) parameter number in glibc's malloc.h
+MMAP_THRESHOLD = 1 << 20
 
 
 def _add_embed_options(p):
@@ -201,24 +205,45 @@ def cmd_partition(args):
     return 0
 
 
+def _read_cluster_ids(source, node_labels):
+    """Cluster id of each of node_labels, read from a partition CSV.
+
+    A row is a node label and an integer id, split at the row's last comma.
+    Blank rows are skipped, and a node's last row wins.
+    """
+    lines = _read_text(source).splitlines()
+    if not lines or lines[0] != "node_label,cluster_id":
+        raise EdgeListError("not a partition CSV: missing header")
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
+        raise EdgeListError(f"partition CSV is missing node {node_labels[0]!r}")
+    raw = np.frombuffer("\n".join(rows).encode("utf-8", "surrogatepass"), dtype=np.uint8).copy()
+    ends = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
+    commas = np.flatnonzero(raw == ord(","))
+    upto = np.searchsorted(commas, ends)  # commas before each row's end
+    if (np.diff(upto, prepend=0) == 0).any():
+        raise EdgeListError("not a partition CSV: a row has no comma")
+    raw[commas[upto - 1]] = ord("\n")  # split each row at its last comma
+    cells = raw.tobytes().decode("utf-8", "surrogatepass").split("\n")
+    nodes = cells[0::2]
+    if not all(map(str.strip, cells[1::2])):
+        raise EdgeListError("not a partition CSV: a row has no cluster id")
+    ids = np.loadtxt(cells[1::2], dtype=np.int64, comments=None, ndmin=1)
+    if nodes == node_labels and len(set(nodes)) == len(nodes):
+        return ids  # rows in node order, each node once: the writer's layout
+    row_of = dict(zip(nodes, range(len(nodes))))
+    try:
+        return ids[[row_of[lab] for lab in node_labels]]
+    except KeyError as exc:
+        raise EdgeListError(f"partition CSV is missing node {exc.args[0]!r}") from None
+
+
 def cmd_plot(args):
     outdir = _output_dir(args)
     labels_order, coords = read_embedding_csv(args.embedding)
     cluster_labels = None
     if args.partition:
-        text = Path(args.partition).read_text(encoding="utf-8").splitlines()
-        if not text or text[0] != "node_label,cluster_id":
-            raise EdgeListError("not a partition CSV: missing header")
-        mapping = {}
-        for line in text[1:]:
-            if not line.strip():
-                continue
-            node, cluster = line.rsplit(",", 1)
-            mapping[node] = int(cluster)
-        try:
-            cluster_labels = [mapping[lab] for lab in labels_order]
-        except KeyError as exc:
-            raise EdgeListError(f"partition CSV is missing node {exc.args[0]!r}") from None
+        cluster_labels = _read_cluster_ids(args.partition, labels_order)
     svg = render_scatter_svg(coords, cluster_labels)
     _write_all([(Path(args.output) if args.output else outdir / "embedding.svg", svg)])
     return 0
@@ -227,7 +252,28 @@ def cmd_plot(args):
 HANDLERS = {"embed": cmd_embed, "partition": cmd_partition, "plot": cmd_plot}
 
 
+@functools.cache
+def _fix_mmap_threshold():
+    """Give every block of MMAP_THRESHOLD bytes or more its own mapping (glibc).
+
+    glibc raises its mmap threshold each time it frees a mapped block, up to
+    32 MiB, and from then on serves the multi-megabyte numpy temporaries of
+    loading, solving and partitioning from its heap. Whether the heap hands
+    that memory back or keeps it resident then turns on the heap's layout: the
+    peak RSS of the same partition command on the same 100k-node inputs was
+    either about 370 MB or about 465 MB from one process to the next. A fixed
+    threshold stops the adjustment, so freed large blocks go straight back to
+    the system and the peak is the same in every run.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # a C library without mallopt
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+
+
 def main(argv=None):
+    _fix_mmap_threshold()
     args = build_parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)

@@ -65,10 +65,6 @@ class Graph:
     def label_index(self):
         return {lab: i for i, lab in enumerate(self.node_labels)}
 
-    def neighbors(self, i):
-        start, stop = self.adjacency.indptr[i], self.adjacency.indptr[i + 1]
-        return self.adjacency.indices[start:stop]
-
     def _upper_edges(self):
         """(rows, cols) index arrays of each edge once, rows < cols, in CSR order."""
         indptr, indices = self.adjacency.indptr, self.adjacency.indices
@@ -132,16 +128,26 @@ def _run_starts(ordered):
     return mask
 
 
-def _edge_tokens(raw):
-    """Start offsets and lengths of the tokens on edge lines of a UTF-8 buffer.
-
-    Also returns which of all tokens in the buffer those are. Lines are
-    numbered as str.splitlines() numbers them; blank lines and lines whose
-    first non-blank character is '#' are skipped; commas separate tokens
-    like whitespace. An edge line without exactly two tokens raises.
-    """
+def _line_breaks(raw):
+    """Mask of the bytes of a UTF-8 buffer that end a line for str.splitlines()."""
     breaks = _LINE_BREAK[raw]
     breaks[1:] &= (raw[1:] != ord("\n")) | (raw[:-1] != ord("\r"))  # "\r\n" is one
+    return breaks
+
+
+def _edge_tokens(raw):
+    """Tokens on the data lines of a UTF-8 buffer, and its first malformed line.
+
+    Lines are numbered as str.splitlines() numbers them; blank lines and
+    lines whose first non-blank character is '#' are skipped; commas
+    separate tokens like whitespace. Returns the start offsets and lengths
+    of the data-line tokens, which of all tokens in the buffer those are,
+    and (line number, token count) of the first data line without exactly
+    two tokens, or None.
+    """
+    # breaks lives to the end: on a 100k-node edge list, freeing it early left
+    # a heap layout that raised the CLI pipeline's peak RSS by about 15 MB
+    breaks = _line_breaks(raw)
     line_of = np.cumsum(breaks, dtype=np.int32 if len(raw) < 2**31 else np.int64)
     n_lines = int(line_of[-1]) + 1 if len(raw) else 1
     sep = _SEPARATOR[raw]
@@ -158,14 +164,24 @@ def _edge_tokens(raw):
     token_line = line_of[starts]
     counts = np.bincount(token_line, minlength=n_lines)
     bad = np.flatnonzero(edge_line & (counts != 2))
-    if len(bad):
-        lineno, got = int(bad[0]) + 1, int(counts[bad[0]])
-        if got > 2:
-            raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got} "
-                                "(weighted edges are not supported)")
-        raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got}")
+    malformed = (int(bad[0]) + 1, int(counts[bad[0]])) if len(bad) else None
     keep = edge_line[token_line]
-    return starts[keep], (ends - starts)[keep], keep
+    return starts[keep], (ends - starts)[keep], keep, malformed
+
+
+def _utf8(text):
+    """text with its non-ASCII blanks made ASCII, and its UTF-8 bytes."""
+    if not text.isascii():
+        text = text.translate(_WIDE_SPACE)
+    return text, np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+
+
+def _kept_tokens(text, keep):
+    """The tokens of text, as str.split() finds them, that keep selects."""
+    tokens = text.replace(",", " ").split()
+    if keep.all():
+        return tokens
+    return list(itertools.compress(tokens, keep.tolist()))
 
 
 def _decimal_values(raw, starts, lengths):
@@ -188,10 +204,14 @@ def _edge_endpoints(text):
     labels holds the distinct node labels, normalized and sorted, and codes
     index it in file order.
     """
-    if not text.isascii():
-        text = text.translate(_WIDE_SPACE)
-    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    starts, lengths, keep = _edge_tokens(raw)
+    text, raw = _utf8(text)
+    starts, lengths, keep, malformed = _edge_tokens(raw)
+    if malformed:
+        lineno, got = malformed
+        if got > 2:
+            raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got} "
+                                "(weighted edges are not supported)")
+        raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got}")
     values = _decimal_values(raw, starts, lengths)
     if values is not None:
         # int labels without parsing a string: "07" and "7" are both 7
@@ -202,9 +222,7 @@ def _edge_endpoints(text):
         codes[order] = np.cumsum(new) - 1
         return codes, ordered[new].tolist()
 
-    tokens = text.replace(",", " ").split()
-    if not keep.all():
-        tokens = list(itertools.compress(tokens, keep.tolist()))
+    tokens = _kept_tokens(text, keep)
     distinct = list(dict.fromkeys(tokens))  # normalize each token once
     normalized = _normalize_labels(distinct)
     labels = sorted(set(normalized))  # "07" and "7" are one label
@@ -274,31 +292,76 @@ def load_ground_truth(source, graph, ignore_extra=False):
     graph raise unless ignore_extra is set (useful when the graph loader
     dropped nodes outside the largest connected component). A node token
     is read as the graph's labels are: as an integer on an all-integer
-    graph ("07" is node 7), as the string itself otherwise.
+    graph ("07" is node 7), as the string itself otherwise. A node listed
+    twice takes its last community.
     """
-    int_labels = isinstance(graph.node_labels[0], (int, np.integer))
-    assignments = {}
-    order = {}
-    for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        tokens = text.replace(",", " ").split()
-        if len(tokens) != 2:
-            raise EdgeListError(f"line {lineno}: expected 'node community', got {len(tokens)} tokens")
-        node = _normalize_labels([tokens[0]])[0] if int_labels else tokens[0]
-        if node not in graph.label_index:
-            if ignore_extra:
-                continue
-            raise EdgeListError(f"line {lineno}: unknown node label {node!r}")
-        if tokens[1] not in order:
-            order[tokens[1]] = len(order)
-        assignments[node] = order[tokens[1]]
-    missing = [lab for lab in graph.node_labels if lab not in assignments]
-    if missing:
+    text, raw = _utf8(_read_text(source))
+    starts, lengths, keep, malformed = _edge_tokens(raw)
+    if malformed:  # lines before it are read first: one may hold an unknown node
+        before = int(np.searchsorted(np.cumsum(_line_breaks(raw))[starts], malformed[0] - 1))
+        starts, lengths = starts[:before], lengths[:before]
+    int_graph = isinstance(graph.node_labels[0], (int, np.integer))
+    values = _decimal_values(raw, starts[0::2], lengths[0::2]) if int_graph else None
+    codes = _decimal_values(raw, starts[1::2], lengths[1::2])
+    if codes is not None and ((raw[starts[1::2]] == ord("0")) & (lengths[1::2] > 1)).any():
+        codes = None  # "07" and "7" are two communities
+    if values is None or codes is None:
+        tokens = _kept_tokens(text, keep)[:len(starts)]
+
+    if values is not None:
+        node = _int_label_positions(graph, values)
+    else:
+        distinct = list(dict.fromkeys(tokens[0::2]))  # normalize each token once
+        labels = [_normalize_labels([t])[0] for t in distinct] if int_graph else distinct
+        index = graph.label_index
+        node_of = {tok: index.get(lab, -1) for tok, lab in zip(distinct, labels)}
+        node = np.fromiter(map(node_of.__getitem__, tokens[0::2]), dtype=np.int64,
+                           count=len(starts) // 2)
+    known = node >= 0
+    if not ignore_extra and not known.all():
+        first = int(np.argmin(known))
+        if values is not None:
+            label = int(values[first])
+        else:
+            label = _normalize_labels([tokens[2 * first]])[0] if int_graph else tokens[2 * first]
+        lineno = int(_line_breaks(raw)[:starts[2 * first]].sum()) + 1
+        raise EdgeListError(f"line {lineno}: unknown node label {label!r}")
+    if malformed:
+        raise EdgeListError(f"line {malformed[0]}: expected 'node community', "
+                            f"got {malformed[1]} tokens")
+
+    if codes is not None:
+        community = _first_appearance_codes(codes[known])
+    else:
+        names = list(itertools.compress(tokens[1::2], known.tolist()))
+        ids = {c: i for i, c in enumerate(dict.fromkeys(names))}
+        community = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names))
+    node = node[known]
+    order = np.argsort(node, kind="stable")
+    last = np.append(node[order][1:] != node[order][:-1], True)  # a node's last line wins
+    assigned = np.full(graph.n, -1, dtype=np.int64)
+    assigned[node[order][last]] = community[order][last]
+    missing = np.flatnonzero(assigned < 0)
+    if len(missing):
         raise EdgeListError(f"missing community labels for {len(missing)} nodes "
-                            f"(first: {missing[0]!r})")
-    return np.array([assignments[lab] for lab in graph.node_labels], dtype=np.int64)
+                            f"(first: {graph.node_labels[missing[0]]!r})")
+    return assigned
+
+
+def _int_label_positions(graph, values):
+    """Index of each value among graph's integer labels, or -1 if it is none."""
+    labels = np.asarray(graph.node_labels)
+    order = np.argsort(labels, kind="stable")
+    index = order[np.minimum(np.searchsorted(labels, values, sorter=order), len(labels) - 1)]
+    return np.where(labels[index] == values, index, -1)
+
+
+def _first_appearance_codes(values):
+    """Codes 0, 1, ... for the distinct values, in order of first appearance."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.ravel()]
 
 
 def write_edge_list(g):

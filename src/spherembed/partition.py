@@ -23,6 +23,10 @@ import numpy as np
 
 from .metrics import modularity_of_partition
 
+# rows scored per block when assigning nodes to centroids; the scores of
+# all rows at once are an n x k matrix (80 MB at 100k x 100)
+SCORE_ROWS = 4096
+
 
 @dataclass
 class Partition:
@@ -47,10 +51,28 @@ def z_tilde_value(centroids):
 
 
 def _centroids_for(rows, labels, k):
-    # one bin per (cluster, column); each bin sums its rows in row order
-    d = rows.shape[1]
-    keys = (labels[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(keys, weights=rows.ravel(), minlength=k * d).reshape(k, d)
+    # one bincount per column; each bin sums its rows in row order
+    return np.column_stack([np.bincount(labels, weights=rows[:, j], minlength=k)
+                            for j in range(rows.shape[1])])
+
+
+def _nearest_centroids(rows, centroids):
+    """Per row, the index of the centroid with the largest inner product.
+
+    Ties go to the lowest index. Scores are formed in one reused buffer, for
+    blocks of rows that start at multiples of SCORE_ROWS; the last block runs
+    to the end, so only a block that holds all n rows is shorter than
+    SCORE_ROWS. BLAS then tiles every row as it tiles the whole n x k
+    product, and the scores are bitwise the same.
+    """
+    n = rows.shape[0]
+    labels = np.empty(n, dtype=np.intp)
+    scores = np.empty((min(n, 2 * SCORE_ROWS - 1), centroids.shape[0]))
+    for start in range(0, max(n - SCORE_ROWS, 0) + 1, SCORE_ROWS):
+        stop = n if n - start < 2 * SCORE_ROWS else start + SCORE_ROWS
+        out = np.matmul(rows[start:stop], centroids.T, out=scores[:stop - start])
+        out.argmax(axis=1, out=labels[start:stop])
+    return labels
 
 
 def _compact(rows, labels):
@@ -73,8 +95,7 @@ def init_centroids(rows, degrees, k, rng):
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     p = np.asarray(degrees, dtype=float)
     idx = rng.choice(n, size=k, replace=False, p=p / p.sum())
-    labels = np.argmax(rows @ rows[idx].T, axis=1)
-    return _compact(rows, labels)
+    return _compact(rows, _nearest_centroids(rows, rows[idx]))
 
 
 def vp_step(rows, labels, centroids):
@@ -83,8 +104,7 @@ def vp_step(rows, labels, centroids):
     Clusters receiving no nodes are removed and labels compacted, so the
     cluster count never increases.
     """
-    labels_new = np.argmax(rows @ centroids.T, axis=1)
-    return _compact(rows, labels_new)
+    return _compact(rows, _nearest_centroids(rows, centroids))
 
 
 def vp_run(rows, graph, k, rng, max_rounds=200):

@@ -14,6 +14,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from spherembed import EdgeListError, Graph, load_edge_list
+from spherembed.graphs import _read_text
 from spherembed.plotting import MARGIN, PALETTE, PANEL
 
 
@@ -238,6 +239,72 @@ def reference_largest_connected_component(g):
     degrees = np.diff(sub.indptr).astype(np.int64)
     labels = tuple(g.node_labels[i] for i in keep)
     return Graph(adjacency=sub, degrees=degrees, node_labels=labels)
+
+
+# The ground-truth loader as it stood before it was vectorized: one
+# strip/split/normalize per line and a dict per node. Kept verbatim, bar the
+# names, as the reference the array version must match.
+
+def reference_load_ground_truth(source, graph, ignore_extra=False):
+    int_labels = isinstance(graph.node_labels[0], (int, np.integer))
+    assignments = {}
+    order = {}
+    for lineno, line in enumerate(_read_text(source).splitlines(), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        tokens = text.replace(",", " ").split()
+        if len(tokens) != 2:
+            raise EdgeListError(f"line {lineno}: expected 'node community', got {len(tokens)} tokens")
+        node = _reference_normalize_labels([tokens[0]])[0] if int_labels else tokens[0]
+        if node not in graph.label_index:
+            if ignore_extra:
+                continue
+            raise EdgeListError(f"line {lineno}: unknown node label {node!r}")
+        if tokens[1] not in order:
+            order[tokens[1]] = len(order)
+        assignments[node] = order[tokens[1]]
+    missing = [lab for lab in graph.node_labels if lab not in assignments]
+    if missing:
+        raise EdgeListError(f"missing community labels for {len(missing)} nodes "
+                            f"(first: {missing[0]!r})")
+    return np.array([assignments[lab] for lab in graph.node_labels], dtype=np.int64)
+
+
+# The planted-partition generator as it stood before sampling became sparse:
+# a dense n x n uniform matrix against a dense n x n probability matrix.
+# Kept verbatim, bar the names, so that graphs pinned by seed (the golden
+# content hash) keep their edges, and as the distribution the sparse
+# sampler must reproduce.
+
+REFERENCE_COVERAGE = 0.95
+REFERENCE_MAX_ATTEMPTS = 20
+
+
+def _reference_block_assignment(n, k):
+    sizes = np.full(k, n // k)
+    sizes[: n % k] += 1  # remainder spread over the first blocks
+    return np.repeat(np.arange(k), sizes)
+
+
+def reference_generate_planted_partition(spec):
+    blocks = _reference_block_assignment(spec.n, spec.k)
+    root = np.random.default_rng(spec.seed)
+    for _ in range(REFERENCE_MAX_ATTEMPTS):
+        rng = root.spawn(1)[0]
+        probs = np.where(blocks[:, None] == blocks[None, :], spec.p_in, spec.p_out)
+        hit = np.triu(rng.random((spec.n, spec.n)) < probs, k=1)
+        r, c = np.nonzero(hit)
+        if len(r) == 0:
+            continue
+        g = reference_largest_connected_component(
+            Graph.from_edges(spec.n, r, c, range(spec.n)))
+        if g.n >= REFERENCE_COVERAGE * spec.n:
+            labels = blocks[np.array(g.node_labels, dtype=np.int64)]
+            return g, labels
+    raise RuntimeError(
+        f"could not produce a connected graph covering >= {REFERENCE_COVERAGE:.0%} of "
+        f"{spec.n} nodes in {REFERENCE_MAX_ATTEMPTS} attempts; edge probabilities too sparse")
 
 
 # The partition-round kernels, modularity, embedding CSV reader and SVG

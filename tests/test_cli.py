@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import ctypes
+import io
 import json
 from pathlib import Path
 
@@ -253,6 +255,48 @@ def test_plot_with_partition_colors(tmp_path, barbell_file):
     assert again.read_bytes() == (out / "plot.svg").read_bytes()
 
 
+def test_plot_partition_with_byte_order_mark(tmp_path, barbell_file):
+    out = tmp_path / "out"
+    cli.main(["partition", "--input", barbell_file, "--pipeline",
+              "--d0", "6", "--k", "4", "--output-dir", str(out)])
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + (out / "partition.csv").read_bytes())
+    for name, partition in (("plain.svg", out / "partition.csv"), ("marked.svg", marked)):
+        assert cli.main(["plot", "--embedding", str(out / "embedding.csv"),
+                         "--partition", str(partition),
+                         "--output", str(tmp_path / name)]) == 0
+    assert (tmp_path / "marked.svg").read_bytes() == (tmp_path / "plain.svg").read_bytes()
+
+
+def test_plot_partition_missing_node_exits_2(tmp_path, barbell_file, capsys):
+    out = tmp_path / "out"
+    cli.main(["partition", "--input", barbell_file, "--pipeline",
+              "--d0", "6", "--k", "4", "--output-dir", str(out)])
+    lines = (out / "partition.csv").read_text().splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(line for line in lines if not line.startswith("3,")) + "\n")
+    assert cli.main(["plot", "--embedding", str(out / "embedding.csv"),
+                     "--partition", str(short), "--output", str(tmp_path / "x.svg")]) == 2
+    assert "partition CSV is missing node '3'" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_partition_csv_rows_in_any_order():
+    # rows shuffled, padded by blank and extra rows; a node's last row wins
+    text = "node_label,cluster_id\r\nb,1\r\n\r\nz,7\r\na,0\r\nb,2\r\n  \r\nx,y,3\r\n"
+    ids = cli._read_cluster_ids(io.StringIO(text), ["a", "b", "x,y"])
+    assert list(ids) == [0, 2, 3]
+    assert list(cli._read_cluster_ids(io.StringIO("node_label,cluster_id\na,4\nb,-1\n"),
+                                      ["a", "b"])) == [4, -1]
+    assert list(cli._read_cluster_ids(io.StringIO("node_label,cluster_id\n\xe9,5\n"),
+                                      ["\xe9"])) == [5]
+    for bad in ("node_label,cluster\na,1\n", "", "node_label,cluster_id\n",
+                "node_label,cluster_id\na\n", "node_label,cluster_id\na,\n",
+                "node_label,cluster_id\na, \n", "node_label,cluster_id\na,x\n"):
+        with pytest.raises(ValueError):
+            cli._read_cluster_ids(io.StringIO(bad), ["a"])
+
+
 def test_non_finite_embedding_exits_2_without_outputs(tmp_path, barbell_file):
     emb_dir = tmp_path / "emb"
     cli.main(["partition", "--input", barbell_file, "--pipeline", "--d0", "6",
@@ -310,3 +354,24 @@ def test_ellipsoidal_embedding_kind(tmp_path, barbell_file):
     quad = np.einsum("ij,j,ij->i", U, s_sq, U)
     assert np.allclose(quad, 1.0, atol=1e-9)
     assert not np.allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-6)
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def test_large_blocks_get_their_own_mapping_after_a_command(tmp_path, k3_file):
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc's mallinfo2")
+    libc.mallinfo2.restype = _MallInfo2
+    # freeing a mapped 16 MiB block raises glibc's adaptive threshold past 2 MiB
+    del_me = np.ones(16 << 20, dtype=np.uint8)
+    del del_me
+    assert cli.main(["embed", "--input", k3_file, "--output-dir", str(tmp_path)]) == 0
+    mapped = libc.mallinfo2().hblks
+    block = np.ones(2 << 20, dtype=np.uint8)
+    assert libc.mallinfo2().hblks == mapped + 1  # mapped, not carved from the heap
+    assert block.sum() == 2 << 20

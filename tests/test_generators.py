@@ -1,12 +1,18 @@
 """Planted-partition generation and benchmark file loading."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import reference_generate_planted_partition
 from spherembed import (PlantedPartitionSpec, generate_planted_partition, load_edge_list,
                         load_ground_truth)
+from spherembed.generators import _unrank_pairs
+
+# the perfbench generate-4k spec: 10 blocks of 400, mean degrees 12 within, 3 between
+BENCH_4K = dict(n=4000, k=10, p_in=12 / 399, p_out=3 / 3600)
 
 
 def test_spec_validation():
@@ -66,6 +72,65 @@ def test_edge_densities_within_three_sigma():
     for count, pairs, p in ((within, pairs_within, 0.1), (between, pairs_between, 0.01)):
         sigma = np.sqrt(pairs * p * (1 - p))
         assert abs(count - pairs * p) < 3 * sigma
+
+
+def test_unrank_pairs_is_exact():
+    for s in (2, 3, 7, 40):
+        i, j = _unrank_pairs(np.arange(s * (s - 1) // 2))
+        assert sorted(zip(j.tolist(), i.tolist())) == [(b, a) for b in range(s) for a in range(b)]
+    # both sides of j(j - 1)/2, also where 8r + 1 is past 2**53 and rounds as a float
+    j = np.array([2, 3, 99_999, 100_000, 3_000_001, 2**26 + 1], dtype=np.int64)
+    r = (j * (j - 1) // 2)[:, None] + np.array([-1, 0, 1])
+    i, jj = _unrank_pairs(r.ravel())
+    assert np.array_equal(jj * (jj - 1) // 2 + i, r.ravel())
+    assert np.all((0 <= i) & (i < jj))
+
+
+def test_pooled_edge_densities_are_exact():
+    # pooled over 100 seeds the mean within- and between-block degrees sit
+    # within 4 standard errors of the spec's 12 and 3; drawing pairs with
+    # replacement and dropping repeats misses the within degree by about 20
+    within = between = nodes = 0
+    for seed in range(100):
+        graph, labels = generate_planted_partition(PlantedPartitionSpec(**BENCH_4K, seed=seed))
+        adj = graph.adjacency
+        row = np.repeat(np.arange(graph.n), np.diff(adj.indptr))
+        same = labels[row] == labels[adj.indices]
+        within += int(same.sum())
+        between += int((~same).sum())
+        nodes += graph.n
+    for got, want in ((within / nodes, 12.0), (between / nodes, 3.0)):
+        # a mean degree is 2 E / n for a near-Poisson edge count E
+        assert abs(got - want) <= 4 * np.sqrt(2 * want / nodes)
+
+
+def test_pair_frequencies_match_dense_reference():
+    # per-pair edge frequencies of the sparse sampler and the dense one it
+    # replaced agree, connectivity retries included
+    spec = dict(n=9, k=3, p_in=0.8, p_out=0.3)
+    seeds = 1000
+    freq = []
+    for generate in (generate_planted_partition, reference_generate_planted_partition):
+        hits = np.zeros((9, 9))
+        for seed in range(seeds):
+            graph, _ = generate(PlantedPartitionSpec(**spec, seed=seed))
+            assert graph.n == 9
+            hits += graph.adjacency.toarray()
+        freq.append(hits[np.triu_indices(9, 1)] / seeds)
+    sigma = np.sqrt((freq[0] * (1 - freq[0]) + freq[1] * (1 - freq[1])) / seeds)
+    assert np.all(np.abs(freq[0] - freq[1]) <= 5 * np.maximum(sigma, 1e-3))
+
+
+def test_generation_memory_is_sparse():
+    # the dense n x n sampler it replaced peaks near 260 MB at this size
+    spec = PlantedPartitionSpec(**BENCH_4K, seed=1)
+    tracemalloc.start()
+    try:
+        generate_planted_partition(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_generation_deterministic():

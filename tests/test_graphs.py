@@ -8,8 +8,9 @@ import pytest
 
 from conftest import BARBELL_EDGES
 from oracles import (dense_adjacency, make_graph, random_connected_graph,
-                     reference_load_edge_list)
-from spherembed import (EdgeListError, PlantedPartitionSpec, generate_planted_partition,
+                     reference_generate_planted_partition, reference_load_edge_list,
+                     reference_load_ground_truth)
+from spherembed import (EdgeListError, Graph, PlantedPartitionSpec,
                         largest_connected_component, load_edge_list, load_ground_truth,
                         write_edge_list)
 
@@ -84,7 +85,11 @@ def test_degrees_match_dense(rng):
 
 
 def test_neighbors_sorted_and_edges_oriented(barbell):
-    assert list(barbell.neighbors(2)) == [0, 1, 3]
+    # from_edges sorts each CSR row, whatever the order and orientation of its input
+    cols, rows = np.array(BARBELL_EDGES[::-1]).T
+    for g in (barbell, Graph.from_edges(6, rows, cols, range(6))):
+        indptr, indices = g.adjacency.indptr, g.adjacency.indices
+        assert indices[indptr[2]:indptr[3]].tolist() == [0, 1, 3]
     for i, j in barbell.edges():
         assert i < j
 
@@ -135,6 +140,60 @@ def test_ground_truth_tokens_read_as_graph_labels():
     with pytest.raises(EdgeListError, match="line 3: unknown node label 'x'"):
         load_ground_truth(io.StringIO(extra), g)
     assert load_ground_truth(io.StringIO(extra), g, ignore_extra=True).tolist() == [1, 1, 0]
+
+
+TRUTH_STYLES = {
+    # (graph labels, node tokens that may or may not name a node)
+    "int": (lambda n: [str(i) for i in range(n)], ["07", "+3", "99", "x", "\u0663", "-0"]),
+    "str": (lambda n: [f"v{i}" for i in range(n)], ["1", "v99", "\xe9", "07", "V1"]),
+}
+
+
+def _random_truth_text(rng, names, extra):
+    seps = [" ", "\t", ",", " , ", ", ", "\u3000"]
+    nodes = [str(v) for v in rng.permutation(names)]
+    if rng.random() < 0.2:
+        nodes.pop()  # a graph node without a community
+    nodes += [str(v) for v in rng.choice(names + extra, size=int(rng.integers(0, 6)))]
+    # communities are strings: "07" and "7" are two
+    communities = [["3", "1", "12", "0"], ["7", "07", "1", "007"],
+                   ["0", "c", "07", "7", "\xe9"]][int(rng.integers(3))]
+    lines = []
+    for node in rng.permutation(nodes):
+        if rng.random() < 0.15:
+            lines.append(str(rng.choice(["# c", "  #x y z", "#", "", "   "])))
+        community = rng.choice(communities)
+        lines.append(f"{node}{rng.choice(seps)}{community}")
+    if rng.random() < 0.15:
+        lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(["a b c", "a", ","])))
+    newline = "\r\n" if rng.random() < 0.5 else "\n"
+    return newline.join(lines) + (newline if rng.random() < 0.7 else "")
+
+
+@pytest.mark.parametrize("style", sorted(TRUTH_STYLES))
+def test_ground_truth_matches_reference(style):
+    # the array truth loader against the line-by-line loader it replaced
+    rng = np.random.default_rng(sum(map(ord, style)))
+    outcomes = set()
+    for _ in range(60):
+        names = TRUTH_STYLES[style][0](int(rng.integers(2, 15)))
+        graph = load_edge_list(io.StringIO("".join(f"{a} {b}\n"
+                                                   for a, b in zip(names, names[1:]))))
+        text = _random_truth_text(rng, names, TRUTH_STYLES[style][1])
+        for ignore_extra in (False, True):
+            try:
+                want = reference_load_ground_truth(io.StringIO(text), graph, ignore_extra)
+            except EdgeListError as exc:
+                outcomes.add(re.sub(r"^line \d+: ", "", str(exc)).split()[0])
+                with pytest.raises(EdgeListError, match=re.escape(str(exc))):
+                    load_ground_truth(io.StringIO(text), graph, ignore_extra)
+                continue
+            outcomes.add("ok")
+            got = load_ground_truth(io.StringIO(text), graph, ignore_extra)
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+    # the cases cover success and every error
+    assert outcomes >= {"ok", "unknown", "expected", "missing"}
 
 
 def test_write_edge_list_round_trip(rng):
@@ -268,7 +327,7 @@ def test_component_tie_among_many_components(rng):
     (lambda: load_edge_list(io.StringIO("b a\nc b\na c\nc d\n")), "05a5bb7ebd3c81d5"),
     (lambda: random_connected_graph(np.random.default_rng(7), 40, extra_edges=30),
      "19e958c2d5b82d58"),
-    (lambda: generate_planted_partition(
+    (lambda: reference_generate_planted_partition(
         PlantedPartitionSpec(n=120, k=3, p_in=0.2, p_out=0.02, seed=5))[0],
      "fe016da9d1162271"),
 ])

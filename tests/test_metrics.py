@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (dense_adjacency, modularity_value, random_connected_graph,
                      reference_modularity_of_partition, reference_nmi)
+import spherembed.metrics as metrics_module
 from spherembed import modularity_of_partition, nmi, summarize
 from spherembed.metrics import RunSummary, write_summary_json
 
@@ -37,7 +38,7 @@ def test_singleton_modularity_closed_form(rng):
     assert q == pytest.approx(expected, abs=1e-14)
 
 
-def test_modularity_matches_reference_bitwise(rng):
+def test_modularity_matches_reference_bitwise(rng, monkeypatch):
     # the internal-entry counts are integers, so the sums must agree to the last bit
     for _ in range(12):
         g = random_connected_graph(rng, int(rng.integers(3, 80)), extra_edges=60)
@@ -46,8 +47,11 @@ def test_modularity_matches_reference_bitwise(rng):
                      np.arange(g.n), rng.permutation(g.n) * 7,  # all singletons
                      np.zeros(g.n, dtype=np.int64), np.full(g.n, 9)]  # one cluster
         for labels in labelings:
-            assert (modularity_of_partition(g, labels)
-                    == reference_modularity_of_partition(g, labels))
+            want = reference_modularity_of_partition(g, labels)
+            assert modularity_of_partition(g, labels) == want
+            with monkeypatch.context() as m:  # rows compared a few nodes at a time
+                m.setattr(metrics_module, "BLOCK_NODES", int(rng.integers(1, 8)))
+                assert modularity_of_partition(g, labels) == want
 
 
 def test_modularity_validation(barbell):

@@ -73,6 +73,16 @@ def test_centroids_are_member_sums(rng):
     assert z_tilde_value(R) == pytest.approx(z_tilde_of(rows, labels), abs=1e-12)
 
 
+def test_blocked_scores_pick_the_centroids_of_the_full_product(rng, monkeypatch):
+    monkeypatch.setattr(partition_module, "SCORE_ROWS", 5)
+    for n in (1, 4, 5, 6, 10, 11, 23, 26):
+        rows = unit_rows(rng, n, 3)
+        centroids = rng.standard_normal((4, 3))
+        centroids[3] = centroids[1]  # a tie goes to the lower index
+        want = np.argmax(rows @ centroids.T, axis=1)
+        assert np.array_equal(partition_module._nearest_centroids(rows, centroids), want)
+
+
 def test_vp_step_hand_example():
     # two tight pairs on the circle: one round recovers the pairs from a
     # lopsided split (node 1 sits much closer to node 0 than to cluster 1)
