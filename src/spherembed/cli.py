@@ -155,9 +155,9 @@ def _embedding_outputs(outdir, args, graph, result, embedding):
 
 def cmd_embed(args):
     outdir = _output_dir(args)
+    cfg = _config_from(args)
     t0 = time.perf_counter()
     graph = load_edge_list(args.input)
-    cfg = _config_from(args)
     result, embedding = run_embedding(graph, cfg)
     summary = summarize(graph, config=cfg.echo(), solve_result=result,
                         embedding=embedding)
@@ -173,8 +173,8 @@ def cmd_partition(args):
     if not args.pipeline and not args.embedding:
         raise EdgeListError("partition needs --embedding CSV or --pipeline")
     outdir = _output_dir(args)
-    graph = load_edge_list(args.input)
     cfg = _config_from(args)
+    graph = load_edge_list(args.input)
     truth = None
     if args.truth:
         truth = load_ground_truth(args.truth, graph)

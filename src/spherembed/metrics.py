@@ -2,8 +2,12 @@
 
 Modularity is computed matrix-free in O(n + m) from cluster-internal edge
 counts and degree sums; it equals the quadratic form of the modularity
-matrix over the binary membership block. NMI uses natural logarithms and
-normalizes mutual information by the arithmetic mean of the entropies.
+matrix over the binary membership block. `internal_degrees` does the count
+and `modularity_from_counts` holds the one expression that turns counts
+into Q, so the partitioner, which carries its counts from round to round
+and updates them from the moved nodes alone, gets the same bits as a full
+recount. NMI uses natural logarithms and normalizes mutual information by
+the arithmetic mean of the entropies.
 """
 
 import json
@@ -18,8 +22,35 @@ NMI_NORMALIZATION = "arithmetic"
 BLOCK_NODES = 4096
 
 
+def internal_degrees(graph, labels, k):
+    """Per cluster c < k, its internal degree 2 m_c, as exact int64 counts.
+
+    m_c counts the edges with both ends in cluster c; each is seen once from
+    either end's CSR row.
+    """
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
+    internal_deg = np.zeros(k, dtype=np.int64)
+    for start in range(0, graph.n, BLOCK_NODES):
+        stop = min(start + BLOCK_NODES, graph.n)
+        # each stored entry's row cluster: a node's label repeated over its CSR row
+        row_labels = np.repeat(labels[start:stop], graph.degrees[start:stop])
+        internal = row_labels == labels[indices[indptr[start]:indptr[stop]]]
+        internal_deg += np.bincount(row_labels[internal], minlength=k)
+    return internal_deg
+
+
+def modularity_from_counts(graph, labels, internal_deg):
+    """sum_c [ m_c / m - (D_c / 2m)^2 ] from the internal degrees 2 m_c.
+
+    D_c sums the degrees of cluster c; labels run over 0..len(internal_deg) - 1.
+    """
+    two_m = float(graph.degrees.sum())
+    deg_sums = np.bincount(labels, weights=graph.degrees, minlength=len(internal_deg))
+    return float(np.sum(internal_deg / two_m - (deg_sums / two_m) ** 2))
+
+
 def modularity_of_partition(graph, labels):
-    """sum_c [ m_c / m - (D_c / 2m)^2 ] over clusters c.
+    """sum_c [ m_c / m - (D_c / 2m)^2 ] over clusters c, recounted in full.
 
     m_c counts edges internal to cluster c and D_c sums its degrees.
     """
@@ -29,17 +60,7 @@ def modularity_of_partition(graph, labels):
     if labels.min() < 0:
         raise ValueError("cluster ids must be non-negative")
     k = int(labels.max()) + 1
-    two_m = float(graph.degrees.sum())
-    deg_sums = np.bincount(labels, weights=graph.degrees, minlength=k)
-    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
-    internal_deg = np.zeros(k, dtype=np.int64)  # = 2 m_c
-    for start in range(0, graph.n, BLOCK_NODES):
-        stop = min(start + BLOCK_NODES, graph.n)
-        # each stored entry's row cluster: a node's label repeated over its CSR row
-        row_labels = np.repeat(labels[start:stop], graph.degrees[start:stop])
-        internal = row_labels == labels[indices[indptr[start]:indptr[stop]]]
-        internal_deg += np.bincount(row_labels[internal], minlength=k)
-    return float(np.sum(internal_deg / two_m - (deg_sums / two_m) ** 2))
+    return modularity_from_counts(graph, labels, internal_degrees(graph, labels, k))
 
 
 def nmi(labels_a, labels_b):

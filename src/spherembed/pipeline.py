@@ -7,7 +7,8 @@ bit for bit, and the partition stage stays reproducible whether or not it
 shares a process with the embedding stage.
 
 Embedding dimension d0 and centroid count k are clamped to the node count,
-since column sampling and centroid seeding draw without replacement.
+since column sampling and centroid seeding draw without replacement. Every
+setting is checked when the config is built, before any stage runs.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -34,6 +35,25 @@ class PipelineConfig(SolverConfig):
     max_rounds: int = 200
     jobs: int = None
     embedding_kind: str = "spherical"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.descriptor not in ("modularity", "normlap"):
+            raise ValueError(f"unknown descriptor kind {self.descriptor!r}")
+        if self.embedding_kind not in ("spherical", "ellipsoidal"):
+            raise ValueError(f"unknown embedding kind {self.embedding_kind!r}")
+        if not self.shift_epsilon >= 0:
+            raise ValueError("shift epsilon must be non-negative")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.max_rounds < 0:
+            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def echo(self, with_partition=False):
         """Config section for the run summary; jobs never changes a result."""

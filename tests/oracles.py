@@ -15,6 +15,8 @@ from scipy.sparse import csgraph
 
 from spherembed import EdgeListError, Graph, load_edge_list
 from spherembed.graphs import _read_text
+from spherembed.metrics import modularity_of_partition
+from spherembed.partition import Partition, _compact, init_centroids, vp_step, z_tilde_value
 from spherembed.plotting import MARGIN, PALETTE, PANEL
 
 
@@ -342,6 +344,39 @@ def reference_centroids_for(rows, labels, k):
 def reference_compact(rows, labels):
     used, labels = np.unique(labels, return_inverse=True)
     return labels, reference_centroids_for(rows, labels, len(used))
+
+
+# vp_run as it stood before it carried cluster counts from round to round:
+# every round is a vp_step and a full modularity recount. Kept verbatim, bar
+# the name, as the reference the count updates must match bit for bit.
+
+def reference_vp_run(rows, graph, k, rng, max_rounds=200):
+    """Iterate vp_step until the partition modularity stops strictly increasing.
+
+    Returns the best-modularity state seen across rounds (including the
+    initial assignment). Both the objective and modularity series are kept
+    in the run history.
+    """
+    rows = np.asarray(rows, dtype=float)
+    labels, R = init_centroids(rows, graph.degrees, k, rng)
+    q = modularity_of_partition(graph, labels)
+    history = [{"round": 0, "z_tilde": z_tilde_value(R), "modularity": q,
+                "clusters": R.shape[0]}]
+    best_labels, best_q = labels, q
+    q_prev = q
+    for rnd in range(1, max_rounds + 1):
+        labels, R = vp_step(rows, labels, R)
+        q = modularity_of_partition(graph, labels)
+        history.append({"round": rnd, "z_tilde": z_tilde_value(R), "modularity": q,
+                        "clusters": R.shape[0]})
+        if q > best_q:
+            best_labels, best_q = labels, q
+        if q <= q_prev:
+            break
+        q_prev = q
+    labels, R = _compact(rows, best_labels)
+    return Partition(labels=labels, k_init=k, centroids=R,
+                     z_tilde=z_tilde_value(R), modularity=best_q, history=history)
 
 
 def reference_read_embedding_csv(source):

@@ -215,6 +215,35 @@ def test_bad_solver_value_exits_2_without_solving(tmp_path, barbell_file):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--restarts", "0"), ("--epsilon", "1.5"), ("--epsilon", "0"), ("--shift-epsilon", "-1"),
+    ("--k", "0"), ("--max-rounds", "-1"), ("--jobs", "0"),
+])
+@pytest.mark.parametrize("source", ["pipeline", "embedding"])
+def test_bad_partition_value_exits_2_before_loading(tmp_path, barbell_file, monkeypatch,
+                                                    flag, value, source):
+    emb_dir = tmp_path / "emb"
+    cli.main(["embed", "--input", barbell_file, "--d0", "6", "--output-dir", str(emb_dir)])
+    monkeypatch.setattr(cli, "load_edge_list", lambda *a, **k: pytest.fail("graph loaded"))
+    given = (["--pipeline"] if source == "pipeline"
+             else ["--embedding", str(emb_dir / "embedding.csv")])
+    out = tmp_path / "out"
+    rc = cli.main(["partition", "--input", barbell_file, *given, flag, value,
+                   "--output-dir", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--epsilon", "1.5"), ("--shift-epsilon", "-1")])
+def test_bad_embed_value_exits_2_before_loading(tmp_path, barbell_file, monkeypatch,
+                                                flag, value):
+    monkeypatch.setattr(cli, "load_edge_list", lambda *a, **k: pytest.fail("graph loaded"))
+    out = tmp_path / "out"
+    rc = cli.main(["embed", "--input", barbell_file, flag, value, "--output-dir", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_write_failure_leaves_no_partial_outputs(tmp_path, barbell_file, monkeypatch):
     write_text = Path.write_text
     calls = []

@@ -1,23 +1,36 @@
 """Vector partitioning: seeding, synchronous rounds, move gains, restarts."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import (all_partitions, dense_adjacency, modularity_value,
-                     reference_centroids_for, reference_compact,
-                     reference_modularity_of_partition, z_tilde_of)
+import oracles
+from oracles import (all_partitions, dense_adjacency, make_graph, modularity_value,
+                     random_connected_graph, reference_centroids_for, reference_compact,
+                     reference_modularity_of_partition, reference_vp_run, z_tilde_of)
 import spherembed.partition as partition_module
-from spherembed import (PlantedPartitionSpec, best_of_restarts, generate_planted_partition,
-                        init_centroids, vp_run, vp_step)
-from spherembed.partition import (write_partition_csv, write_run_log,
-                                  z_tilde_value, _centroids_for, _compact)
+from spherembed import (PipelineConfig, PlantedPartitionSpec, best_of_restarts,
+                        generate_planted_partition, init_centroids, run_partition,
+                        vp_run, vp_step)
+from spherembed.metrics import internal_degrees
+from spherembed.partition import (Partition, write_partition_csv, write_run_log,
+                                  z_tilde_value, _centroids_for, _compact, _moved_counts)
 from spherembed.solver import project_rows
 
 
 def unit_rows(rng, n, d):
     return project_rows(rng.standard_normal((n, d)))
+
+
+def planted_rows(n, blocks, seed, p_in=0.15, p_out=0.02, noise=0.5):
+    """A planted graph and unit rows: each node's block direction plus noise."""
+    graph, truth = generate_planted_partition(
+        PlantedPartitionSpec(n=n, k=blocks, p_in=p_in, p_out=p_out, seed=seed))
+    gen = np.random.default_rng(seed)
+    directions = unit_rows(gen, blocks, 6)
+    return graph, project_rows(directions[truth] + noise * gen.standard_normal((graph.n, 6)))
 
 
 def test_init_centroids_validation(rng):
@@ -229,6 +242,20 @@ def test_partition_csv_and_run_log(rng, barbell):
     assert log["rounds"][0]["round"] == 0
 
 
+@pytest.mark.parametrize("edges", [
+    [(10, 3), (3, 7), (7, 10), (7, 250)],
+    [("b", "a"), ("a", "x-y"), ("x-y", "b"), ("b", "07")],
+])
+def test_partition_csv_matches_per_row_formatting(edges):
+    graph = make_graph(edges)
+    labels = np.array([2, 0, 1, 0])[:graph.n]
+    part = Partition(labels=labels, k_init=3, centroids=np.zeros((3, 2)),
+                     z_tilde=0.0, modularity=0.0, history=[])
+    want = ["node_label,cluster_id"] + [f"{graph.node_labels[i]},{int(labels[i])}"
+                                        for i in range(graph.n)]
+    assert write_partition_csv(part, graph) == "\n".join(want) + "\n"
+
+
 def test_compact_matches_reference_on_gapped_labels(rng):
     for d in (1, 3, 10):
         rows = rng.standard_normal((300, d))
@@ -248,18 +275,26 @@ def test_compact_matches_reference_on_gapped_labels(rng):
     (150, 3, 4, 1), (240, 4, 12, 2), (300, 5, 60, 3), (120, 2, 119, 4),
 ])
 def test_best_of_restarts_matches_reference(n, blocks, k, seed, jobs, monkeypatch):
-    # bitwise equal to the np.add.at / np.unique / full-COO rounds, winner included
-    spec = PlantedPartitionSpec(n=n, k=blocks, p_in=0.15, p_out=0.02, seed=seed)
-    graph, truth = generate_planted_partition(spec)
-    gen = np.random.default_rng(seed)
-    directions = unit_rows(gen, blocks, 6)
-    rows = project_rows(directions[truth] + 0.5 * gen.standard_normal((graph.n, 6)))
+    # bitwise equal to full-recount rounds of np.add.at / np.unique / full-COO
+    # kernels, winner included
+    graph, rows = planted_rows(n, blocks, seed)
     k = min(k, graph.n - 1)
+    updates = []
+
+    def counted_moved_counts(*args):
+        updates.append(args)
+        return _moved_counts(*args)
+
+    monkeypatch.setattr(partition_module, "_moved_counts", counted_moved_counts)
     got = best_of_restarts(rows, graph, k, 5, np.random.default_rng(seed), jobs=jobs)
+    assert updates  # some round updated its counts from the moved nodes alone
+    # reference_vp_run looks its helpers up in oracles; vp_step and
+    # init_centroids look theirs up in partition
+    monkeypatch.setattr(partition_module, "vp_run", reference_vp_run)
     monkeypatch.setattr(partition_module, "_centroids_for", reference_centroids_for)
-    monkeypatch.setattr(partition_module, "_compact", reference_compact)
-    monkeypatch.setattr(partition_module, "modularity_of_partition",
-                        reference_modularity_of_partition)
+    for module in (partition_module, oracles):
+        monkeypatch.setattr(module, "_compact", reference_compact)
+    monkeypatch.setattr(oracles, "modularity_of_partition", reference_modularity_of_partition)
     want = best_of_restarts(rows, graph, k, 5, np.random.default_rng(seed), jobs=jobs)
     assert got.labels.dtype == want.labels.dtype
     assert got.labels.tobytes() == want.labels.tobytes()
@@ -268,3 +303,47 @@ def test_best_of_restarts_matches_reference(n, blocks, k, seed, jobs, monkeypatc
     assert got.z_tilde == want.z_tilde and got.modularity == want.modularity
     assert got.history == want.history
     assert got.restart_index == want.restart_index
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+def test_moved_counts_match_a_full_recount(rng, chunk, monkeypatch):
+    # chunks of 1 and 3 split many edges between two moved nodes across chunks
+    monkeypatch.setattr(partition_module, "MOVED_NODES", chunk)
+    for _ in range(30):
+        n = int(rng.integers(8, 60))
+        graph = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 3 * n)))
+        k = int(rng.integers(2, 7))
+        labels = np.arange(n) % k  # every cluster used, as vp_run's labels are
+        rng.shuffle(labels)
+        internal = internal_degrees(graph, labels, k)
+        some = labels.copy()
+        picked = rng.random(n) < 0.3
+        some[picked] = rng.integers(0, k, size=picked.sum())
+        emptied = labels.copy()  # cluster 0 empties while others move into it
+        emptied[labels == 0] = rng.integers(1, k, size=(labels == 0).sum())
+        incoming = (labels != 0) & (rng.random(n) < 0.3)
+        emptied[incoming] = 0
+        left = labels.copy()  # cluster k - 1 empties and stays empty
+        left[labels == k - 1] = 0
+        everyone = (labels + rng.integers(1, k, size=n)) % k
+        for assign in (some, emptied, left, everyone):
+            got = _moved_counts(graph, labels, assign, internal)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, internal_degrees(graph, assign, k))
+        assert np.array_equal(internal, internal_degrees(graph, labels, k))  # not updated in place
+
+
+def test_run_partition_peak_memory_no_higher_than_full_recounts(monkeypatch):
+    graph, rows = planted_rows(20_000, 10, 1, p_in=12 / 1999, p_out=3 / 18000, noise=0.3)
+    cfg = PipelineConfig(restarts=2)
+    peaks = {}
+    for name, run in (("reference", reference_vp_run), ("incremental", vp_run)):
+        monkeypatch.setattr(partition_module, "vp_run", run)
+        tracemalloc.start()
+        try:
+            part = run_partition(graph, rows, cfg)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(part.history) > 2  # rounds after the first, where counts carry over
+    assert peaks["incremental"] <= peaks["reference"], peaks

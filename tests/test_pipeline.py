@@ -28,6 +28,29 @@ def test_momentum_variant_echoed_only_when_momentum_on():
     assert "momentum_variant" not in PipelineConfig(momentum=False).echo()
 
 
+@pytest.mark.parametrize("setting, match", [
+    ({"descriptor": "laplacian"}, "unknown descriptor kind"),
+    ({"embedding_kind": "polar"}, "unknown embedding kind"),
+    ({"shift_epsilon": -0.5}, "shift epsilon must be non-negative"),
+    ({"shift_epsilon": float("nan")}, "shift epsilon must be non-negative"),
+    ({"epsilon": 0.0}, "epsilon must lie in"),
+    ({"epsilon": 1.0}, "epsilon must lie in"),
+    ({"k": 0}, "k must be >= 1"),
+    ({"restarts": 0}, "restarts must be >= 1"),
+    ({"max_rounds": -1}, "max_rounds must be >= 0"),
+    ({"jobs": 0}, "jobs must be >= 1"),
+    ({"tol": 5.0}, "tol must lie in"),  # the solver fields are still checked
+])
+def test_config_rejects_bad_settings_when_built(setting, match):
+    with pytest.raises(ValueError, match=match):
+        PipelineConfig(**setting)
+
+
+def test_config_accepts_boundary_settings():
+    PipelineConfig(k=1, restarts=1, max_rounds=0, jobs=1, shift_epsilon=0.0)
+    PipelineConfig(descriptor="normlap", embedding_kind="ellipsoidal", jobs=None)
+
+
 def test_seed_tree_matches_spawn_layout():
     # the documented layout: run seed -> (solver stream, partition stream)
     a1, a2 = seed_tree(PipelineConfig(seed=9))
