@@ -17,8 +17,6 @@ from .graphs import (
     write_edge_list,
 )
 from .operators import (
-    ModularityOperator,
-    LaplacianDescriptorOperator,
     ShiftedOperator,
     make_descriptor,
 )
@@ -62,8 +60,6 @@ __all__ = [
     "load_ground_truth",
     "largest_connected_component",
     "write_edge_list",
-    "ModularityOperator",
-    "LaplacianDescriptorOperator",
     "ShiftedOperator",
     "make_descriptor",
     "SolverConfig",

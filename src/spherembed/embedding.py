@@ -73,14 +73,13 @@ def _canonical_signs(U):
 def effective_dimension(s, epsilon, total_mass=None):
     """Smallest r whose leading r values of s^2 sum above (1 - epsilon) * total_mass.
 
-    Accepts either an EmbeddingResult (using its recorded pre-truncation
-    mass) or a vector of singular values, whose squares are the eigenvalues
-    of the Gram matrix rho; total_mass defaults to their full sum.
+    s holds singular values, whose squares are the eigenvalues of the Gram
+    matrix rho; total_mass defaults to their full sum. For an
+    EmbeddingResult pass (emb.s, epsilon, emb.total_mass), its recorded
+    pre-truncation mass.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if isinstance(s, EmbeddingResult):
-        s, total_mass = s.s, s.total_mass
     cum = np.cumsum(np.asarray(s, dtype=float) ** 2)
     if total_mass is None:
         total_mass = cum[-1]

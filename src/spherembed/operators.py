@@ -1,12 +1,18 @@
 """Matrix-free descriptor operators and the diagonally dominant shift.
 
-Both descriptors decompose into sparse adjacency, rank-1, and diagonal
-pieces, so applying them to an n x d block costs O((n + m) d) and the dense
-n x n matrix is never formed:
+Both descriptors are one scaled modularity matrix
 
-  modularity       M = (A - d d^T / 2m) / 2m
-  norm. Laplacian  M = D^{-1/2} A D^{-1/2} - sqrt(pi) sqrt(pi)^T,
-                   pi_i = d_i / sum_j d_j
+  M = S (A - d d^T / 2m) S = W - u u^T,   W = S A S,   u = S d / sqrt(2m),
+
+with S = diag(s) and only the scaling vector s chosen by kind:
+
+  modularity       s_i = 1 / sqrt(2m)   u = d / 2m
+  norm. Laplacian  s_i = d_i^{-1/2}     u = sqrt(pi), pi_i = d_i / 2m
+
+W keeps the adjacency's sparsity pattern and u u^T is rank one, so applying
+M to an n x d block costs O((n + m) d) and the dense n x n matrix is never
+formed. Non-neighbour entries of M are -u_i u_k <= 0, which gives the
+absolute off-diagonal row sums in O(deg(i)) per row.
 
 The shifted operator replaces the diagonal of M with
 v_i = 1 + eps + sum_{k != i} |M_ik|, making K strictly diagonally dominant
@@ -15,21 +21,22 @@ unit-row blocks expands every row norm above 1.
 """
 
 import numpy as np
+from scipy import sparse
 
 
-class ModularityOperator:
-    """Matrix-free modularity descriptor (A - d d^T / 2m) / 2m."""
+class DescriptorOperator:
+    """Matrix-free descriptor M = W - u u^T; build it with make_descriptor."""
 
-    kind = "modularity"
-
-    def __init__(self, graph):
+    def __init__(self, graph, kind, s, u):
         self.graph = graph
-        self._adj = graph.adjacency
-        self._deg = graph.degrees.astype(float)
-        self._two_m = float(graph.degrees.sum())
-        if self._two_m <= 0:
-            raise ValueError("graph has no edges")
-        self._d_over_2m = self._deg / self._two_m
+        self.kind = kind
+        adj = graph.adjacency
+        # W shares the adjacency's index arrays; only its values s_i s_k are new
+        data = np.repeat(s, np.diff(adj.indptr))
+        data *= s[adj.indices]
+        self._W = sparse.csr_matrix((data, adj.indices, adj.indptr), shape=adj.shape,
+                                    copy=False)
+        self._u = u
 
     @property
     def n(self):
@@ -39,78 +46,47 @@ class ModularityOperator:
         X = np.asarray(X, dtype=float)
         if X.shape[0] != self.n:
             raise ValueError(f"block has {X.shape[0]} rows, expected {self.n}")
-        return (self._adj @ X - np.outer(self._d_over_2m, self._deg @ X)) / self._two_m
+        Y = self._W @ X
+        Y -= np.outer(self._u, self._u @ X)
+        return Y
 
     def diagonal(self):
-        return -(self._deg / self._two_m) ** 2
+        return -self._u ** 2
 
     def offdiagonal_abs_sums(self):
         """sum_{k != i} |M_ik| per row, in O(deg(i)) per row.
 
-        Neighbor entries are |1 - d_i d_k / 2m| / 2m; the non-neighbor
-        entries are all negative, so their absolute values sum to
-        d_i (2m - d_i - sum_{k in N(i)} d_k) / (2m)^2.
+        Neighbour entries are |W_ik - u_i u_k|; the non-neighbour entries
+        are all -u_i u_k, so their absolute values sum to
+        u_i (sum_k u_k - u_i - sum_{k in N(i)} u_k).
         """
-        deg, two_m = self._deg, self._two_m
-        indptr, indices = self._adj.indptr, self._adj.indices
-        neigh_deg = deg[indices]
-        row = np.repeat(np.arange(self.n), np.diff(indptr))
-        adj_part = np.bincount(row, weights=np.abs(1.0 - deg[row] * neigh_deg / two_m),
-                               minlength=self.n)
-        neigh_deg_sum = np.bincount(row, weights=neigh_deg, minlength=self.n)
-        nonadj_part = deg * (two_m - deg - neigh_deg_sum) / two_m
-        return (adj_part + nonadj_part) / two_m
-
-
-class LaplacianDescriptorOperator:
-    """Matrix-free D^{-1/2} A D^{-1/2} - sqrt(pi) sqrt(pi)^T descriptor."""
-
-    kind = "normlap"
-
-    def __init__(self, graph):
-        self.graph = graph
-        self._adj = graph.adjacency
-        deg = graph.degrees.astype(float)
-        if (deg <= 0).any():
-            raise ValueError("descriptor requires all degrees positive")
-        self._inv_sqrt_d = 1.0 / np.sqrt(deg)
-        self._sqrt_d = np.sqrt(deg)
-        self._two_m = float(deg.sum())
-        self._sqrt_pi = np.sqrt(deg / self._two_m)
-
-    @property
-    def n(self):
-        return self.graph.n
-
-    def apply(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.shape[0] != self.n:
-            raise ValueError(f"block has {X.shape[0]} rows, expected {self.n}")
-        Y = self._adj @ (self._inv_sqrt_d[:, None] * X)
-        return self._inv_sqrt_d[:, None] * Y - np.outer(self._sqrt_pi, self._sqrt_pi @ X)
-
-    def diagonal(self):
-        return -self._sqrt_pi ** 2
-
-    def offdiagonal_abs_sums(self):
-        """sum_{k != i} |M_ik| per row via neighbor sums of sqrt degrees."""
-        indptr, indices = self._adj.indptr, self._adj.indices
-        row = np.repeat(np.arange(self.n), np.diff(indptr))
-        sd, isd, two_m = self._sqrt_d, self._inv_sqrt_d, self._two_m
-        entries = np.abs(isd[row] * isd[indices] - sd[row] * sd[indices] / two_m)
-        adj_part = np.bincount(row, weights=entries, minlength=self.n)
-        neigh_sqrt_sum = np.bincount(row, weights=sd[indices], minlength=self.n)
-        nonadj_part = sd * (sd.sum() - sd - neigh_sqrt_sum) / two_m
-        return adj_part + nonadj_part
+        W, u = self._W, self._u
+        entries = np.repeat(u, np.diff(W.indptr))
+        entries *= u[W.indices]
+        np.subtract(W.data, entries, out=entries)
+        np.abs(entries, out=entries)
+        # row sums through W's own pattern need no 2m-long row index array
+        neighbour_abs = sparse.csr_matrix((entries, W.indices, W.indptr), shape=W.shape,
+                                          copy=False)
+        nonadj_part = u * (u.sum() - u - self.graph.adjacency @ u)
+        return neighbour_abs @ np.ones(self.n) + nonadj_part
 
 
 def make_descriptor(graph, kind):
-    """Build a descriptor operator by name ("modularity" or "normlap")."""
+    """Build the descriptor operator by name ("modularity" or "normlap")."""
+    deg = graph.degrees.astype(float)
+    two_m = float(deg.sum())
     if kind == "modularity":
-        return ModularityOperator(graph)
-    if kind == "normlap":
-        return LaplacianDescriptorOperator(graph)
-    raise ValueError(f"unknown descriptor kind {kind!r}")
+        if two_m <= 0:
+            raise ValueError("graph has no edges")
+        s, u = np.full(graph.n, 1.0 / np.sqrt(two_m)), deg / two_m
+    elif kind == "normlap":
+        if (deg <= 0).any():
+            raise ValueError("descriptor requires all degrees positive")
+        s, u = 1.0 / np.sqrt(deg), np.sqrt(deg / two_m)
+    else:
+        raise ValueError(f"unknown descriptor kind {kind!r}")
+    return DescriptorOperator(graph, kind, s, u)
 
 
 def diagonal_shift_vector(op, epsilon=0.0):
@@ -141,7 +117,9 @@ class ShiftedOperator:
 
     def apply(self, X):
         X = np.asarray(X, dtype=float)
-        return self.base.apply(X) + self._diag_delta[:, None] * X
+        Y = self.base.apply(X)
+        Y += self._diag_delta[:, None] * X
+        return Y
 
     def sample_columns(self, count, rng):
         """Materialize `count` uniformly sampled columns of K, without replacement."""

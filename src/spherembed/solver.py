@@ -47,7 +47,6 @@ class SolveResult:
     """
 
     x: np.ndarray
-    x0: np.ndarray
     objective: float
     delta: float
     trace: np.ndarray
@@ -108,7 +107,6 @@ def solve(k, cfg, rng=None, x0=None):
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     x = _initial_point(k, cfg, rng, x0)
-    x0_saved = x.copy()
     plain = not cfg.momentum
     surrogate = cfg.momentum and cfg.momentum_variant == "main"
     y = y_prev = k.apply(x)
@@ -150,7 +148,7 @@ def solve(k, cfg, rng=None, x0=None):
             converged = True
             break
     delta = float(np.sum(np.linalg.norm(y, axis=1)) - f)
-    return SolveResult(x=x, x0=x0_saved, objective=f, delta=delta,
+    return SolveResult(x=x, objective=f, delta=delta,
                        trace=np.array(trace), iterations=j, converged=converged,
                        method="gpm" if plain else f"gpmm-{cfg.momentum_variant}",
                        step_norms_sq=np.array(steps) if plain else None,

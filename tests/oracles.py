@@ -449,3 +449,100 @@ def reference_render_scatter_svg(coords, labels=None):
                          f'fill="{colors[i]}" fill-opacity="0.8"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# The two descriptor operators as they stood before both became one scaled
+# matrix S (A - d d^T / 2m) S: each with its own apply, diagonal and closed
+# form for the off-diagonal sums. Kept verbatim, bar the names, as the
+# references the single descriptor class must match at sizes the dense
+# matrices above cannot reach.
+
+class ReferenceModularityOperator:
+    """Matrix-free modularity descriptor (A - d d^T / 2m) / 2m."""
+
+    kind = "modularity"
+
+    def __init__(self, graph):
+        self.graph = graph
+        self._adj = graph.adjacency
+        self._deg = graph.degrees.astype(float)
+        self._two_m = float(graph.degrees.sum())
+        if self._two_m <= 0:
+            raise ValueError("graph has no edges")
+        self._d_over_2m = self._deg / self._two_m
+
+    @property
+    def n(self):
+        return self.graph.n
+
+    def apply(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.shape[0] != self.n:
+            raise ValueError(f"block has {X.shape[0]} rows, expected {self.n}")
+        return (self._adj @ X - np.outer(self._d_over_2m, self._deg @ X)) / self._two_m
+
+    def diagonal(self):
+        return -(self._deg / self._two_m) ** 2
+
+    def offdiagonal_abs_sums(self):
+        """sum_{k != i} |M_ik| per row, in O(deg(i)) per row.
+
+        Neighbor entries are |1 - d_i d_k / 2m| / 2m; the non-neighbor
+        entries are all negative, so their absolute values sum to
+        d_i (2m - d_i - sum_{k in N(i)} d_k) / (2m)^2.
+        """
+        deg, two_m = self._deg, self._two_m
+        indptr, indices = self._adj.indptr, self._adj.indices
+        neigh_deg = deg[indices]
+        row = np.repeat(np.arange(self.n), np.diff(indptr))
+        adj_part = np.bincount(row, weights=np.abs(1.0 - deg[row] * neigh_deg / two_m),
+                               minlength=self.n)
+        neigh_deg_sum = np.bincount(row, weights=neigh_deg, minlength=self.n)
+        nonadj_part = deg * (two_m - deg - neigh_deg_sum) / two_m
+        return (adj_part + nonadj_part) / two_m
+
+
+class ReferenceLaplacianDescriptorOperator:
+    """Matrix-free D^{-1/2} A D^{-1/2} - sqrt(pi) sqrt(pi)^T descriptor."""
+
+    kind = "normlap"
+
+    def __init__(self, graph):
+        self.graph = graph
+        self._adj = graph.adjacency
+        deg = graph.degrees.astype(float)
+        if (deg <= 0).any():
+            raise ValueError("descriptor requires all degrees positive")
+        self._inv_sqrt_d = 1.0 / np.sqrt(deg)
+        self._sqrt_d = np.sqrt(deg)
+        self._two_m = float(deg.sum())
+        self._sqrt_pi = np.sqrt(deg / self._two_m)
+
+    @property
+    def n(self):
+        return self.graph.n
+
+    def apply(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.shape[0] != self.n:
+            raise ValueError(f"block has {X.shape[0]} rows, expected {self.n}")
+        Y = self._adj @ (self._inv_sqrt_d[:, None] * X)
+        return self._inv_sqrt_d[:, None] * Y - np.outer(self._sqrt_pi, self._sqrt_pi @ X)
+
+    def diagonal(self):
+        return -self._sqrt_pi ** 2
+
+    def offdiagonal_abs_sums(self):
+        """sum_{k != i} |M_ik| per row via neighbor sums of sqrt degrees."""
+        indptr, indices = self._adj.indptr, self._adj.indices
+        row = np.repeat(np.arange(self.n), np.diff(indptr))
+        sd, isd, two_m = self._sqrt_d, self._inv_sqrt_d, self._two_m
+        entries = np.abs(isd[row] * isd[indices] - sd[row] * sd[indices] / two_m)
+        adj_part = np.bincount(row, weights=entries, minlength=self.n)
+        neigh_sqrt_sum = np.bincount(row, weights=sd[indices], minlength=self.n)
+        nonadj_part = sd * (sd.sum() - sd - neigh_sqrt_sum) / two_m
+        return adj_part + nonadj_part
+
+
+REFERENCE_DESCRIPTORS = {"modularity": ReferenceModularityOperator,
+                         "normlap": ReferenceLaplacianDescriptorOperator}

@@ -194,9 +194,3 @@ def test_spectrum_csv_layout(rng):
     assert len(lines) == emb.rank + 1
     first = float(lines[1].split(",")[1])
     assert first == pytest.approx(emb.s[0] ** 2 / emb.n, abs=1e-15)
-
-
-def test_result_accepts_effective_dimension_object(rng):
-    emb = svd_embedding(unit_row_matrix(rng))
-    assert effective_dimension(emb, emb.epsilon) == emb.d_eff
-    assert isinstance(emb, EmbeddingResult)

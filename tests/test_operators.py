@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from oracles import (dense_adjacency, dense_laplacian_descriptor,
+from oracles import (REFERENCE_DESCRIPTORS, dense_adjacency, dense_laplacian_descriptor,
                      dense_modularity_matrix, dense_shifted, make_graph,
                      random_connected_graph)
-from spherembed import (LaplacianDescriptorOperator, ModularityOperator,
-                        ShiftedOperator, make_descriptor)
+from spherembed import (Graph, PlantedPartitionSpec, ShiftedOperator,
+                        generate_planted_partition, make_descriptor)
 from spherembed.operators import diagonal_shift_vector
 
 
@@ -28,11 +29,16 @@ def test_apply_matches_dense(rng, kind):
         assert np.allclose(op.diagonal(), np.diag(M), atol=1e-14)
 
 
+# two adjacent hubs with d_0 d_1 = 16 > 2m = 14, so M_01 < 0 for both kinds
+DOUBLE_STAR = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]
+
+
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
 def test_offdiagonal_abs_sums_closed_form(rng, kind):
     """The O(deg) absolute off-diagonal row sums must equal the dense ones."""
-    for _ in range(10):
-        g = random_connected_graph(rng, int(rng.integers(4, 30)), extra_edges=10)
+    graphs = [random_connected_graph(rng, int(rng.integers(4, 30)), extra_edges=10)
+              for _ in range(10)]
+    for g in graphs + [make_graph(DOUBLE_STAR)]:
         M = dense_descriptor(dense_adjacency(g), kind)
         op = make_descriptor(g, kind)
         expected = np.abs(M).sum(axis=1) - np.abs(np.diag(M))
@@ -41,21 +47,21 @@ def test_offdiagonal_abs_sums_closed_form(rng, kind):
 
 def test_single_edge_shifted_matrix(single_edge):
     # n=2, one edge: Q = [[-1/4, 1/4], [1/4, -1/4]], shift v = 5/4 on both rows
-    op = ShiftedOperator(ModularityOperator(single_edge))
+    op = ShiftedOperator(make_descriptor(single_edge, "modularity"))
     K = op.apply(np.eye(2))
     assert np.allclose(K, [[1.25, 0.25], [0.25, 1.25]], atol=1e-15)
 
 
 def test_shift_vector_single_edge(single_edge):
-    v = diagonal_shift_vector(ModularityOperator(single_edge))
+    v = diagonal_shift_vector(make_descriptor(single_edge, "modularity"))
     assert np.allclose(v, [1.25, 1.25])
-    v2 = diagonal_shift_vector(ModularityOperator(single_edge), epsilon=0.5)
+    v2 = diagonal_shift_vector(make_descriptor(single_edge, "modularity"), epsilon=0.5)
     assert np.allclose(v2, [1.75, 1.75])
 
 
 def test_negative_shift_epsilon_rejected(single_edge):
     with pytest.raises(ValueError):
-        ShiftedOperator(ModularityOperator(single_edge), epsilon=-0.1)
+        ShiftedOperator(make_descriptor(single_edge, "modularity"), epsilon=-0.1)
 
 
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
@@ -69,10 +75,11 @@ def test_shifted_apply_replaces_diagonal(rng, kind):
         assert np.allclose(op.apply(X), K @ X, atol=1e-12)
 
 
-def test_sample_columns_are_k_columns(rng):
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
+def test_sample_columns_are_k_columns(rng, kind):
     g = random_connected_graph(rng, 12, extra_edges=8)
-    K = dense_shifted(dense_modularity_matrix(dense_adjacency(g)))
-    op = ShiftedOperator(ModularityOperator(g))
+    K = dense_shifted(dense_descriptor(dense_adjacency(g), kind))
+    op = ShiftedOperator(make_descriptor(g, kind))
     cols = op.sample_columns(5, np.random.default_rng(3))
     assert cols.shape == (12, 5)
     # every sampled column must be an exact column of dense K
@@ -101,14 +108,14 @@ def test_shift_margin_is_at_least_one(rng):
 def test_modularity_matrix_annihilates_ones(rng):
     g = random_connected_graph(rng, 18, extra_edges=12)
     ones = np.ones((g.n, 1))
-    assert np.abs(ModularityOperator(g).apply(ones)).max() < 1e-14
+    assert np.abs(make_descriptor(g, "modularity").apply(ones)).max() < 1e-14
 
 
 def test_laplacian_descriptor_annihilates_sqrt_pi(rng):
     # D^{-1/2} A D^{-1/2} fixes sqrt(pi) and the rank-one term removes it
     g = random_connected_graph(rng, 18, extra_edges=12)
     sqrt_pi = np.sqrt(g.degrees / g.degrees.sum())[:, None]
-    assert np.abs(LaplacianDescriptorOperator(g).apply(sqrt_pi)).max() < 1e-14
+    assert np.abs(make_descriptor(g, "normlap").apply(sqrt_pi)).max() < 1e-14
 
 
 def test_make_descriptor_kinds(triangle):
@@ -118,10 +125,42 @@ def test_make_descriptor_kinds(triangle):
         make_descriptor(triangle, "adjacency")
 
 
+def test_modularity_rejects_edgeless_graph():
+    edgeless = Graph(adjacency=sparse.csr_matrix((3, 3)), degrees=np.zeros(3, dtype=np.int64),
+                     node_labels=(0, 1, 2))
+    with pytest.raises(ValueError, match="no edges"):
+        make_descriptor(edgeless, "modularity")
+
+
+def test_normlap_rejects_isolated_node():
+    # node 2 has degree 0, so D^{-1/2} is undefined there; modularity is fine
+    g = Graph.from_edges(3, np.array([0]), np.array([1]), range(3))
+    with pytest.raises(ValueError, match="degrees positive"):
+        make_descriptor(g, "normlap")
+    assert make_descriptor(g, "modularity").diagonal()[2] == 0.0
+
+
 def test_star_graph_closed_form():
     # hub degree 5, leaves degree 1, 2m = 10: spot-check one off-diagonal entry
     g = make_graph([(0, i) for i in range(1, 6)])
     Q = dense_modularity_matrix(dense_adjacency(g))
-    op = ModularityOperator(g)
+    op = make_descriptor(g, "modularity")
     assert Q[0, 1] == pytest.approx((1 - 5 * 1 / 10) / 10)
     assert np.allclose(op.apply(np.eye(6)), Q, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
+def test_matches_reference_operators_on_planted_graph(kind):
+    """Beyond the dense oracles' reach, agree with the two former classes."""
+    spec = PlantedPartitionSpec(n=2000, k=10, p_in=12 / 199, p_out=3 / 1800, seed=5)
+    g, _ = generate_planted_partition(spec)
+    op, ref = make_descriptor(g, kind), REFERENCE_DESCRIPTORS[kind](g)
+    X = np.random.default_rng(7).standard_normal((g.n, 6))
+    # entries of M X cancel between W X and u (u^T X), so the sums' rounding
+    # is bounded relative to the block's magnitude, not entry by entry
+    expected = ref.apply(X)
+    np.testing.assert_allclose(op.apply(X), expected, rtol=1e-13,
+                               atol=1e-13 * np.abs(expected).max())
+    np.testing.assert_allclose(op.diagonal(), ref.diagonal(), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(op.offdiagonal_abs_sums(), ref.offdiagonal_abs_sums(),
+                               rtol=1e-13, atol=0)

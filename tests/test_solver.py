@@ -44,7 +44,8 @@ def test_config_validation():
 def test_gpm_trace_starts_at_initial_objective(barbell):
     op = shifted_op(barbell)
     res = solve(op, SolverConfig(d0=4, seed=1, momentum=False))
-    assert res.trace[0] == pytest.approx(objective(op, res.x0), abs=1e-12)
+    x0 = project_rows(op.sample_columns(4, np.random.default_rng(1)))
+    assert res.trace[0] == pytest.approx(objective(op, x0), abs=1e-12)
 
 
 def test_gpm_monotone_beyond_squared_step(rng):
@@ -149,7 +150,8 @@ def test_one_apply_per_update_and_trace_per_update(rng, method):
         assert res.iterations <= max_iter
         assert len(res.trace) == res.iterations + 1
         assert op.applies == res.iterations + 1
-        assert res.trace[0] == pytest.approx(objective(op.op, res.x0), abs=1e-12)
+        x0 = project_rows(op.op.sample_columns(5, np.random.default_rng(4)))
+        assert res.trace[0] == pytest.approx(objective(op.op, x0), abs=1e-12)
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 7])
