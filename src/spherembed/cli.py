@@ -23,7 +23,7 @@ from .graphs import EdgeListError, _read_text, load_edge_list, load_ground_truth
 from .metrics import nmi as nmi_metric
 from .metrics import summarize, write_summary_json
 from .partition import write_partition_csv, write_run_log
-from .pipeline import PipelineConfig, run_embedding, run_partition, run_pipeline, seed_tree
+from .pipeline import PipelineConfig, run_embedding, run_partition, run_pipeline
 from .plotting import render_scatter_svg
 from .solver import write_trace_csv
 
@@ -190,7 +190,7 @@ def cmd_partition(args):
         if labels != expected:
             raise EdgeListError("embedding/graph node mismatch: the embedding CSV "
                                 "does not cover the graph's nodes in order")
-        part = run_partition(graph, rows, cfg, rng=seed_tree(cfg)[1])
+        part = run_partition(graph, rows, cfg)
         nmi_value = None if truth is None else nmi_metric(part.labels, truth)
         summary = summarize(graph, config=cfg.echo(with_partition=True),
                             partition=part, nmi_value=nmi_value)

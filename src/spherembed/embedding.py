@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import _read_text
+from .graphs import _csv_text, _read_text
 
 RANK_RTOL = 1e-10  # relative singular value threshold for the numerical rank
 
@@ -34,7 +34,6 @@ class EmbeddingResult:
     epsilon: float
     d_eff: int
     total_mass: float
-    provenance: dict = None
 
     @property
     def n(self):
@@ -89,7 +88,7 @@ def effective_dimension(s, epsilon, total_mass=None):
     return int(np.argmax(above)) + 1
 
 
-def svd_embedding(H, epsilon=0.01, provenance=None):
+def svd_embedding(H, epsilon=0.01):
     """Thin SVD of the solution block with deterministic orientation.
 
     Keeps the numerical rank r = #{s_l > 1e-10 * s_1} columns. The SVD runs
@@ -103,8 +102,7 @@ def svd_embedding(H, epsilon=0.01, provenance=None):
     r = int(np.sum(s > RANK_RTOL * s[0]))
     U, s = _canonical_signs(U[:, :r]), s[:r]
     d_eff = effective_dimension(s, epsilon, total_mass)
-    return EmbeddingResult(U=U, s=s, epsilon=epsilon, d_eff=d_eff,
-                           total_mass=total_mass, provenance=provenance)
+    return EmbeddingResult(U=U, s=s, epsilon=epsilon, d_eff=d_eff, total_mass=total_mass)
 
 
 def truncate_embedding(result):
@@ -115,19 +113,11 @@ def truncate_embedding(result):
 
 def write_embedding_csv(result, graph, kind="spherical"):
     """Text of "node,coord_1..coord_r" rows in original-label order."""
-    if kind == "spherical":
-        coords = result.spherical()
-    elif kind == "ellipsoidal":
-        coords = result.ellipsoidal()
-    else:
+    if kind not in ("spherical", "ellipsoidal"):
         raise ValueError(f"unknown embedding kind {kind!r}")
-    r = coords.shape[1]
-    header = "node," + ",".join(f"coord_{j + 1}" for j in range(r))
-    lines = [header]
-    for i in range(result.n):
-        values = ",".join(repr(float(v)) for v in coords[i])
-        lines.append(f"{graph.node_labels[i]},{values}")
-    return "\n".join(lines) + "\n"
+    coords = getattr(result, kind)()
+    header = ["node"] + [f"coord_{j + 1}" for j in range(coords.shape[1])]
+    return _csv_text(header, graph.node_labels, coords)
 
 
 def read_embedding_csv(source):
@@ -174,7 +164,5 @@ def _line_number(lines, row):
 
 def write_spectrum_csv(result):
     """Text of "index,eigenvalue_of_rho_over_n" with 1-based index."""
-    lines = ["index,eigenvalue_of_rho_over_n"]
-    for i, lam in enumerate(result.rho_spectrum(), start=1):
-        lines.append(f"{i},{repr(float(lam))}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(["index", "eigenvalue_of_rho_over_n"], range(1, result.rank + 1),
+                     result.rho_spectrum())

@@ -99,6 +99,30 @@ def _read_text(source):
     return Path(source).read_text(encoding="utf-8-sig")
 
 
+# rows formatted per block: each cell is a Python object while its block is
+# formatted, and one tolist() of 100k x 10 floats would hold about 32 MB
+CSV_ROWS = 4096
+
+
+def _csv_text(header, labels, values):
+    """The header line, then a "label,v_1,...,v_r" line per label and row of values.
+
+    Each cell is repr of its Python value, so floats read back exactly.
+    """
+    values = np.asarray(values)
+    if values.ndim == 1:
+        values = values[:, None]
+    if len(labels) != len(values):
+        raise ValueError(f"{len(labels)} labels for {len(values)} rows")
+    parts = [",".join(header), "\n"]
+    for start in range(0, len(values), CSV_ROWS):
+        block = slice(start, start + CSV_ROWS)
+        cells = map(repr, values[block].ravel().tolist())
+        rows = map(",".join, zip(*[cells] * values.shape[1]))
+        parts.append("".join(map("{},{}\n".format, labels[block], rows)))
+    return "".join(parts)
+
+
 def _normalize_labels(raw_labels):
     # All-integer label sets sort numerically, otherwise lexically as strings.
     try:

@@ -121,9 +121,7 @@ def summarize(graph, config=None, solve_result=None, embedding=None,
 
     Only sections for stages that actually ran are included.
     """
-    # an embedding from run_embedding already records the graph's hash
-    graph_hash = None if embedding is None else (embedding.provenance or {}).get("graph_hash")
-    graph_info = {"n": graph.n, "m": graph.m, "hash": graph_hash or graph.content_hash()}
+    graph_info = {"n": graph.n, "m": graph.m, "hash": graph.content_hash()}
     solver_info = None
     if solve_result is not None:
         solver_info = {

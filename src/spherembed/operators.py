@@ -44,8 +44,8 @@ class DescriptorOperator:
 
     def apply(self, X):
         X = np.asarray(X, dtype=float)
-        if X.shape[0] != self.n:
-            raise ValueError(f"block has {X.shape[0]} rows, expected {self.n}")
+        if X.ndim != 2 or X.shape[0] != self.n:
+            raise ValueError(f"block has shape {X.shape}, expected ({self.n}, d)")
         Y = self._W @ X
         Y -= np.outer(self._u, self._u @ X)
         return Y

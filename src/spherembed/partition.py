@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import _csv_text
 # vp_run no longer calls modularity_of_partition, the full recount, but the
 # name stays importable from here, where perfbench/spans.py wraps it
 from .metrics import (BLOCK_NODES, internal_degrees, modularity_from_counts,
@@ -228,8 +229,7 @@ def best_of_restarts(rows, graph, k, restarts, rng, max_rounds=200, jobs=None):
 
 def write_partition_csv(partition, graph):
     """Text of "node_label,cluster_id" rows in original-label order."""
-    rows = map("{},{}\n".format, graph.node_labels, partition.labels.tolist())
-    return "node_label,cluster_id\n" + "".join(rows)
+    return _csv_text(["node_label", "cluster_id"], graph.node_labels, partition.labels)
 
 
 def write_run_log(partition):

@@ -71,38 +71,30 @@ def seed_tree(cfg):
     return np.random.default_rng(cfg.seed).spawn(2)
 
 
-def run_embedding(graph, cfg, rng=None):
+def run_embedding(graph, cfg):
     """Solve for the embedding of a graph; returns (SolveResult, EmbeddingResult)."""
-    if rng is None:
-        rng = seed_tree(cfg)[0]
     op = make_descriptor(graph, cfg.descriptor)
     shifted = ShiftedOperator(op, cfg.shift_epsilon)
-    result = solve(shifted, replace(cfg, d0=min(cfg.d0, graph.n)), rng=rng)
-    embedding = svd_embedding(result.x, epsilon=cfg.epsilon,
-                              provenance={"config": cfg.echo(),
-                                          "graph_hash": graph.content_hash()})
-    return result, embedding
+    result = solve(shifted, replace(cfg, d0=min(cfg.d0, graph.n)), rng=seed_tree(cfg)[0])
+    return result, svd_embedding(result.x, epsilon=cfg.epsilon)
 
 
-def run_partition(graph, rows, cfg, rng=None):
+def run_partition(graph, rows, cfg):
     """Vector-partition embedding rows; returns the best-restart Partition.
 
     k is clamped to n - 1: at k = n every node seeds its own centroid and
     the synchronous update never leaves the all-singletons state, so the
     large default k would strand small graphs there.
     """
-    if rng is None:
-        rng = seed_tree(cfg)[1]
     k_eff = max(1, min(cfg.k, graph.n - 1))
-    return best_of_restarts(rows, graph, k_eff, cfg.restarts, rng,
+    return best_of_restarts(rows, graph, k_eff, cfg.restarts, seed_tree(cfg)[1],
                             max_rounds=cfg.max_rounds, jobs=cfg.jobs)
 
 
 def run_pipeline(graph, cfg, truth=None):
     """Embed then partition; returns (SolveResult, EmbeddingResult, Partition, RunSummary)."""
-    solver_rng, partition_rng = seed_tree(cfg)
-    result, embedding = run_embedding(graph, cfg, rng=solver_rng)
-    partition = run_partition(graph, embedding.spherical(), cfg, rng=partition_rng)
+    result, embedding = run_embedding(graph, cfg)
+    partition = run_partition(graph, embedding.spherical(), cfg)
     nmi_value = None if truth is None else nmi_metric(partition.labels, truth)
     summary = summarize(graph, config=cfg.echo(with_partition=True),
                         solve_result=result, embedding=embedding,

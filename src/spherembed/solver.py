@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import _csv_text
+
 
 @dataclass
 class SolverConfig:
@@ -157,14 +159,8 @@ def solve(k, cfg, rng=None, x0=None):
 
 def write_trace_csv(result, include_delta=False):
     """Text of the objective trace as "iteration,objective[,delta_criterion]"."""
-    rows = []
-    header = ["iteration", "objective"]
-    with_delta = include_delta and result.delta_trace is not None
-    if with_delta:
+    header, values = ["iteration", "objective"], result.trace
+    if include_delta and result.delta_trace is not None:
         header.append("delta_criterion")
-    for i, o in enumerate(result.trace):
-        row = [str(i), repr(float(o))]
-        if with_delta:
-            row.append(repr(float(result.delta_trace[i])))
-        rows.append(row)
-    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+        values = np.column_stack([result.trace, result.delta_trace])
+    return _csv_text(header, range(len(result.trace)), values)

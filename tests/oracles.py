@@ -398,6 +398,56 @@ def reference_read_embedding_csv(source):
     return labels, np.array(rows)
 
 
+# The four CSV writers as each formatted its own rows before they shared
+# one block-wise formatter; kept verbatim, bar the names, as the byte-exact
+# references for every artifact.
+
+def reference_write_embedding_csv(result, graph, kind="spherical"):
+    """Text of "node,coord_1..coord_r" rows in original-label order."""
+    if kind == "spherical":
+        coords = result.spherical()
+    elif kind == "ellipsoidal":
+        coords = result.ellipsoidal()
+    else:
+        raise ValueError(f"unknown embedding kind {kind!r}")
+    r = coords.shape[1]
+    header = "node," + ",".join(f"coord_{j + 1}" for j in range(r))
+    lines = [header]
+    for i in range(result.n):
+        values = ",".join(repr(float(v)) for v in coords[i])
+        lines.append(f"{graph.node_labels[i]},{values}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_spectrum_csv(result):
+    """Text of "index,eigenvalue_of_rho_over_n" with 1-based index."""
+    lines = ["index,eigenvalue_of_rho_over_n"]
+    for i, lam in enumerate(result.rho_spectrum(), start=1):
+        lines.append(f"{i},{repr(float(lam))}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_trace_csv(result, include_delta=False):
+    """Text of the objective trace as "iteration,objective[,delta_criterion]"."""
+    rows = []
+    header = ["iteration", "objective"]
+    with_delta = include_delta and result.delta_trace is not None
+    if with_delta:
+        header.append("delta_criterion")
+    for i, o in enumerate(result.trace):
+        row = [str(i), repr(float(o))]
+        if with_delta:
+            row.append(repr(float(result.delta_trace[i])))
+        rows.append(row)
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+def reference_write_partition_csv(partition, graph):
+    """Text of "node_label,cluster_id" rows in original-label order."""
+    rows = map("{},{}\n".format, graph.node_labels, partition.labels.tolist())
+    return "node_label,cluster_id\n" + "".join(rows)
+
+
 def _reference_scale(values, span):
     lo, hi = float(values.min()), float(values.max())
     if hi - lo < 1e-12:

@@ -75,6 +75,18 @@ def test_shifted_apply_replaces_diagonal(rng, kind):
         assert np.allclose(op.apply(X), K @ X, atol=1e-12)
 
 
+@pytest.mark.parametrize("shifted", [False, True], ids=["descriptor", "shifted"])
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
+def test_apply_rejects_blocks_that_are_not_n_by_d(kind, shifted):
+    path = make_graph([(0, 1), (1, 2), (2, 3)])
+    op = make_descriptor(path, kind)
+    if shifted:
+        op = ShiftedOperator(op)
+    for X in (np.ones(4), np.ones((4, 2, 1)), np.ones((3, 2))):
+        with pytest.raises(ValueError, match=r"block has shape .*, expected \(4, d\)"):
+            op.apply(X)
+
+
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
 def test_sample_columns_are_k_columns(rng, kind):
     g = random_connected_graph(rng, 12, extra_edges=8)
