@@ -94,8 +94,7 @@ def generate_planted_partition(spec):
         keys = _edge_keys(rng, spec, blocks)
         if len(keys) == 0:
             continue
-        g = largest_connected_component(
-            Graph.from_edges(spec.n, keys // spec.n, keys % spec.n, range(spec.n)))
+        g = largest_connected_component(Graph._from_keys(spec.n, keys, range(spec.n)))
         if g.n >= COVERAGE * spec.n:
             labels = blocks[np.array(g.node_labels, dtype=np.int64)]
             return g, labels

@@ -9,6 +9,7 @@ stable map back to the original node labels.
 import hashlib
 import itertools
 import logging
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -18,6 +19,16 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 log = logging.getLogger(__name__)
+
+# Readers tokenize their input CHUNK_BYTES at a time, each chunk ending with
+# a whole line. Tokenizing holds about 16 bytes of per-byte masks, line
+# numbers and token offsets for each byte of its chunk, so whole-input
+# temporaries would be 16 times the file. At 256 KB they stay near 4 MB at
+# any input size, below what a 20 000-node graph keeps (1 MB chunks held
+# 17 MB, four times it), and a 100 000-node load is no slower than in 1 MB
+# chunks.
+CHUNK_BYTES = 1 << 18
+DIGEST_ROWS = 8192  # CSR rows hashed at a time
 
 
 class EdgeListError(ValueError):
@@ -54,23 +65,55 @@ class Graph:
         rows[e], cols[e] is edge e in either orientation; the caller has
         already dropped self-loops and duplicate edges.
         """
-        data = np.ones(2 * len(rows))
-        adj = sparse.csr_matrix((data, (np.concatenate([rows, cols]),
-                                        np.concatenate([cols, rows]))), shape=(n, n))
-        adj.sort_indices()
-        return cls(adjacency=adj, degrees=np.diff(adj.indptr).astype(np.int64),
-                   node_labels=tuple(labels))
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        keys.sort()
+        return cls._from_keys(n, keys, labels)
+
+    @classmethod
+    def _from_keys(cls, n, keys, labels):
+        """Graph on n nodes from the sorted, distinct keys i * n + j, i < j, of its edges.
+
+        The symmetric CSR is built directly: row i lists its neighbours
+        below i, the edges (h, i), which one sort of the flipped keys
+        i * n + h puts in row order, and then those above it, the edges
+        (i, j), which key order already lists row by row.
+        """
+        m = len(keys)
+        index = np.int32 if max(n, 2 * m) < 2**31 else np.int64
+        rows, cols = np.divmod(keys, n)
+        above = np.bincount(rows, minlength=n)
+        below = np.bincount(cols, minlength=n)
+        degrees = above + below
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(degrees, out=indptr[1:])
+        flipped = cols * n + rows
+        del rows
+        flipped.sort()
+        lower = np.repeat(np.tile([True, False], n), np.column_stack([below, above]).ravel())
+        indices = np.empty(2 * m, dtype=index)
+        indices[~lower] = cols
+        del cols
+        indices[lower] = flipped % n
+        adj = sparse.csr_matrix((np.ones(2 * m), indices, indptr), shape=(n, n))
+        adj.has_canonical_format = True
+        return cls(adjacency=adj, degrees=degrees, node_labels=tuple(labels))
 
     @cached_property
     def label_index(self):
         return {lab: i for i, lab in enumerate(self.node_labels)}
 
-    def _upper_edges(self):
-        """(rows, cols) index arrays of each edge once, rows < cols, in CSR order."""
-        indptr, indices = self.adjacency.indptr, self.adjacency.indices
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
-        upper = rows < indices
-        return rows[upper], indices[upper].astype(np.int64)
+    def _upper_edges(self, start=0, stop=None):
+        """(rows, cols) index arrays of each edge once, rows < cols, in CSR order.
+
+        Only rows start..stop - 1 are read; all rows by default.
+        """
+        stop = self.n if stop is None else min(stop, self.n)
+        indptr = self.adjacency.indptr[start:stop + 1]
+        rows = np.repeat(np.arange(start, stop, dtype=np.int64), np.diff(indptr))
+        cols = self.adjacency.indices[indptr[0]:indptr[-1]]
+        upper = rows < cols
+        return rows[upper], cols[upper].astype(np.int64)
 
     def edges(self):
         """Iterate each edge once as an (i, j) index pair with i < j."""
@@ -79,9 +122,12 @@ class Graph:
 
     @cached_property
     def _digest(self):
+        # the int64 (i, j) pairs of every edge in CSR order, hashed DIGEST_ROWS
+        # rows at a time so that no full-size copy of the edge list is formed
         h = hashlib.sha256()
         h.update(str(self.n).encode())
-        h.update(np.column_stack(self._upper_edges()).tobytes())
+        for start in range(0, self.n, DIGEST_ROWS):
+            h.update(np.column_stack(self._upper_edges(start, start + DIGEST_ROWS)).tobytes())
         return h.hexdigest()[:16]
 
     def content_hash(self):
@@ -145,6 +191,44 @@ _SEPARATOR[list(b" \t\x1f,")] = True
 _MAX_DIGITS = 18  # a decimal numeral this long always fits in int64
 
 
+def _read_utf8(source, ascii_blanks=False):
+    """Whole input as UTF-8 bytes, without a leading byte-order mark.
+
+    With ascii_blanks, the non-ASCII whitespace and line breaks are made
+    ASCII first (see _WIDE_SPACE). ASCII bytes are returned as read.
+    """
+    data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
+    if isinstance(data, bytes):
+        if data.isascii():
+            return data
+        data = data.decode("utf-8-sig")
+    else:
+        data = data.removeprefix("\ufeff")
+    if ascii_blanks and not data.isascii():
+        data = data.translate(_WIDE_SPACE)
+    return data.encode("utf-8", "surrogatepass")
+
+
+# the ASCII line breaks of str.splitlines(), the only bytes a chunk may end
+# after (non-ASCII ones are "\x1e" once _WIDE_SPACE has mapped them); "\r\n"
+# is one break, so a chunk never ends between its two bytes
+_BREAK = re.compile(rb"\r\n|[\n\v\f\r\x1c\x1d\x1e]")
+
+
+def _chunks(data):
+    """(start, end) offsets of consecutive pieces of UTF-8 bytes, each ending a line.
+
+    A piece runs to the first line break at least CHUNK_BYTES into it, or
+    to the end of the input.
+    """
+    start = 0
+    while start < len(data):
+        found = _BREAK.search(data, start + CHUNK_BYTES - 1)
+        end = found.end() if found else len(data)
+        yield start, end
+        start = end
+
+
 def _run_starts(ordered):
     """Mask of the first entry of each run of equal values in a sorted array."""
     mask = np.ones(len(ordered), dtype=bool)
@@ -169,10 +253,7 @@ def _edge_tokens(raw):
     and (line number, token count) of the first data line without exactly
     two tokens, or None.
     """
-    # breaks lives to the end: on a 100k-node edge list, freeing it early left
-    # a heap layout that raised the CLI pipeline's peak RSS by about 15 MB
-    breaks = _line_breaks(raw)
-    line_of = np.cumsum(breaks, dtype=np.int32 if len(raw) < 2**31 else np.int64)
+    line_of = np.cumsum(_line_breaks(raw), dtype=np.int32 if len(raw) < 2**31 else np.int64)
     n_lines = int(line_of[-1]) + 1 if len(raw) else 1
     sep = _SEPARATOR[raw]
     word = ~sep
@@ -193,13 +274,6 @@ def _edge_tokens(raw):
     return starts[keep], (ends - starts)[keep], keep, malformed
 
 
-def _utf8(text):
-    """text with its non-ASCII blanks made ASCII, and its UTF-8 bytes."""
-    if not text.isascii():
-        text = text.translate(_WIDE_SPACE)
-    return text, np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-
-
 def _kept_tokens(text, keep):
     """The tokens of text, as str.split() finds them, that keep selects."""
     tokens = text.replace(",", " ").split()
@@ -213,40 +287,83 @@ def _decimal_values(raw, starts, lengths):
     if not len(starts) or lengths.max() > _MAX_DIGITS:
         return None
     values = np.zeros(len(starts), dtype=np.int64)
-    for p in range(int(lengths.max())):
-        more = lengths > p
-        digit = raw[starts[more] + p] - ord("0")  # uint8: bytes below "0" wrap past 9
+    ends = starts + lengths
+    for p in range(int(lengths.max()), 0, -1):  # the p-th byte from each token's end
+        digit = raw[np.maximum(ends - p, 0)] - ord("0")  # uint8: bytes below "0" wrap past 9
+        digit *= lengths >= p  # a shorter token reads as if padded with zeros
         if (digit > 9).any():
             return None
-        values[more] = 10 * values[more] + digit
+        values *= 10
+        values += digit
     return values
 
 
-def _edge_endpoints(text):
-    """Endpoints of every edge line as (codes, labels), two codes per line.
+def _decimal_tokens(data, second_unpadded=False):
+    """int64 value of every data-line token of UTF-8 bytes, read a chunk at a time.
+
+    None unless there are tokens, every data line holds two and every token
+    is a plain decimal numeral; with second_unpadded, None too if a line's
+    second token has a leading zero ("07"). Only the values outlive their
+    chunk.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    parts = []
+    for start, end in _chunks(data):
+        chunk = raw[start:end]
+        starts, lengths, _, malformed = _edge_tokens(chunk)
+        if malformed:
+            return None
+        if not len(starts):
+            continue
+        values = _decimal_values(chunk, starts, lengths)
+        if values is None:
+            return None
+        if second_unpadded and ((chunk[starts[1::2]] == ord("0")) & (lengths[1::2] > 1)).any():
+            return None
+        parts.append(values)
+    return np.concatenate(parts) if parts else None
+
+
+def _value_codes(values):
+    """Codes of int64 values into their sorted distinct values, and those values as ints.
+
+    "07" and "7" are both 7. Values spanning no more than their count are
+    coded through a lookup table over that span; others are ranked after one
+    sort, with the ranks written over values.
+    """
+    low = int(values.min())
+    values -= low
+    span = int(values.max()) + 1
+    if span <= len(values):
+        present = np.zeros(span, dtype=bool)
+        present[values] = True
+        codes = (np.cumsum(present) - 1)[values]
+        distinct = np.flatnonzero(present)
+    else:
+        order = np.argsort(values)
+        ordered = values[order]
+        new = _run_starts(ordered)
+        distinct = ordered[new]
+        del ordered
+        values[order] = np.cumsum(new) - 1
+        codes = values
+    return codes, (distinct + low).tolist()
+
+
+def _token_codes(data):
+    """Endpoints of every edge line of UTF-8 bytes as (codes, labels), read as strings.
 
     labels holds the distinct node labels, normalized and sorted, and codes
-    index it in file order.
+    index it in file order, two per line.
     """
-    text, raw = _utf8(text)
-    starts, lengths, keep, malformed = _edge_tokens(raw)
+    starts, lengths, keep, malformed = _edge_tokens(np.frombuffer(data, dtype=np.uint8))
     if malformed:
         lineno, got = malformed
         if got > 2:
             raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got} "
                                 "(weighted edges are not supported)")
         raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got}")
-    values = _decimal_values(raw, starts, lengths)
-    if values is not None:
-        # int labels without parsing a string: "07" and "7" are both 7
-        order = np.argsort(values)
-        ordered = values[order]
-        new = _run_starts(ordered)
-        codes = np.empty(len(values), dtype=np.int64)
-        codes[order] = np.cumsum(new) - 1
-        return codes, ordered[new].tolist()
-
-    tokens = _kept_tokens(text, keep)
+    tokens = _kept_tokens(data.decode("utf-8", "surrogatepass"), keep)
     distinct = list(dict.fromkeys(tokens))  # normalize each token once
     normalized = _normalize_labels(distinct)
     labels = sorted(set(normalized))  # "07" and "7" are one label
@@ -254,6 +371,21 @@ def _edge_endpoints(text):
     code = {tok: rank[lab] for tok, lab in zip(distinct, normalized)}
     codes = np.fromiter(map(code.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     return codes, labels
+
+
+def _edge_endpoints(source):
+    """Endpoints of every edge line of source as (codes, labels), two codes per line.
+
+    labels holds the distinct node labels, normalized and sorted, and codes
+    index it in file order. An input of decimal numerals is read chunk by
+    chunk; any other, and any malformed one, is read whole.
+    """
+    data = _read_utf8(source, ascii_blanks=True)
+    values = _decimal_tokens(data)
+    if values is None:
+        return _token_codes(data)
+    del data  # the text dies before the codes and the graph are built
+    return _value_codes(values)
 
 
 def load_edge_list(source):
@@ -265,25 +397,29 @@ def load_edge_list(source):
     edges are dropped (counts logged). Rows with more than two tokens are
     rejected: weighted input is not supported.
     """
-    codes, labels = _edge_endpoints(_read_text(source))
+    codes, labels = _edge_endpoints(source)
     if not len(codes):
         raise EdgeListError("no edges found in input")
-    a, b = codes[0::2], codes[1::2]
-
-    loop = a == b
+    n_edges = len(codes) // 2
+    low, high = np.minimum(codes[0::2], codes[1::2]), np.maximum(codes[0::2], codes[1::2])
+    del codes
+    loop = low == high
     self_loops = int(loop.sum())
     n_all = len(labels)
-    keys = np.sort(np.minimum(a, b)[~loop] * n_all + np.maximum(a, b)[~loop])
+    keys = low[~loop]
+    keys *= n_all
+    keys += high[~loop]
+    del low, high, loop
+    keys.sort()
     keys = keys[_run_starts(keys)]
-    duplicates = len(a) - self_loops - len(keys)
+    duplicates = n_edges - self_loops - len(keys)
     if self_loops or duplicates:
         log.info("dropped %d self-loops and %d duplicate edges", self_loops, duplicates)
     if not len(keys):
         raise EdgeListError("graph is empty after dropping self-loops")
 
     # a label seen only in self-loops is an isolated node: the component cut drops it
-    g = Graph.from_edges(n_all, keys // n_all, keys % n_all, labels)
-    return largest_connected_component(g)
+    return largest_connected_component(Graph._from_keys(n_all, keys, labels))
 
 
 def largest_connected_component(g):
@@ -292,7 +428,9 @@ def largest_connected_component(g):
     Ties between equal-size components go to the one containing the
     smallest original label. Idempotent on connected graphs.
     """
-    ncomp, comp = csgraph.connected_components(g.adjacency, directed=False)
+    # the adjacency is symmetric, so its strong components are its components,
+    # found without the transposed copy that an undirected search makes
+    ncomp, comp = csgraph.connected_components(g.adjacency, directed=True, connection="strong")
     if ncomp == 1:
         return g
     sizes = np.bincount(comp)
@@ -300,12 +438,14 @@ def largest_connected_component(g):
     # node indices follow sorted label order, so the smallest index in a
     # component carries its smallest original label
     winner = comp[np.argmax(sizes[comp] == best_size)]
-    keep = np.flatnonzero(comp == winner)
-    sub = g.adjacency[np.ix_(keep, keep)].tocsr()
-    sub.sort_indices()
-    degrees = np.diff(sub.indptr).astype(np.int64)
-    labels = tuple(g.node_labels[i] for i in keep)
-    return Graph(adjacency=sub, degrees=degrees, node_labels=labels)
+    inside = comp == winner
+    keep = np.flatnonzero(inside)
+    new_index = np.cumsum(inside) - 1
+    rows, cols = g._upper_edges()
+    cut = inside[rows]  # an edge lies inside the component if one end does
+    # the new indices keep the old order, so the keys stay sorted
+    keys = new_index[rows[cut]] * len(keep) + new_index[cols[cut]]
+    return Graph._from_keys(len(keep), keys, (g.node_labels[i] for i in keep.tolist()))
 
 
 def load_ground_truth(source, graph, ignore_extra=False):
@@ -319,7 +459,42 @@ def load_ground_truth(source, graph, ignore_extra=False):
     graph ("07" is node 7), as the string itself otherwise. A node listed
     twice takes its last community.
     """
-    text, raw = _utf8(_read_text(source))
+    data = _read_utf8(source, ascii_blanks=True)
+    node, community = (_decimal_truth(data, graph, ignore_extra)
+                       or _truth_pairs(data, graph, ignore_extra))
+    order = np.argsort(node, kind="stable")
+    last = np.append(node[order][1:] != node[order][:-1], True)  # a node's last line wins
+    assigned = np.full(graph.n, -1, dtype=np.int64)
+    assigned[node[order][last]] = community[order][last]
+    missing = np.flatnonzero(assigned < 0)
+    if len(missing):
+        raise EdgeListError(f"missing community labels for {len(missing)} nodes "
+                            f"(first: {graph.node_labels[missing[0]]!r})")
+    return assigned
+
+
+def _decimal_truth(data, graph, ignore_extra):
+    """(graph index, community code) of every line naming a graph node, read a chunk at a time.
+
+    None unless the graph's labels are integers, every data line holds two
+    plain decimal numerals, no community has a leading zero, and every node
+    is in the graph or ignore_extra is set: _truth_pairs reads the rest.
+    """
+    if not isinstance(graph.node_labels[0], (int, np.integer)):
+        return None
+    values = _decimal_tokens(data, second_unpadded=True)
+    if values is None:
+        return None
+    node = _int_label_positions(graph, values[0::2])
+    known = node >= 0
+    if not (ignore_extra or known.all()):
+        return None  # the whole-input reader names the line
+    return node[known], _first_appearance_codes(values[1::2][known])
+
+
+def _truth_pairs(data, graph, ignore_extra):
+    """(graph index, community code) of every line naming a graph node, read whole."""
+    raw = np.frombuffer(data, dtype=np.uint8)
     starts, lengths, keep, malformed = _edge_tokens(raw)
     if malformed:  # lines before it are read first: one may hold an unknown node
         before = int(np.searchsorted(np.cumsum(_line_breaks(raw))[starts], malformed[0] - 1))
@@ -330,7 +505,7 @@ def load_ground_truth(source, graph, ignore_extra=False):
     if codes is not None and ((raw[starts[1::2]] == ord("0")) & (lengths[1::2] > 1)).any():
         codes = None  # "07" and "7" are two communities
     if values is None or codes is None:
-        tokens = _kept_tokens(text, keep)[:len(starts)]
+        tokens = _kept_tokens(data.decode("utf-8", "surrogatepass"), keep)[:len(starts)]
 
     if values is not None:
         node = _int_label_positions(graph, values)
@@ -360,16 +535,7 @@ def load_ground_truth(source, graph, ignore_extra=False):
         names = list(itertools.compress(tokens[1::2], known.tolist()))
         ids = {c: i for i, c in enumerate(dict.fromkeys(names))}
         community = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names))
-    node = node[known]
-    order = np.argsort(node, kind="stable")
-    last = np.append(node[order][1:] != node[order][:-1], True)  # a node's last line wins
-    assigned = np.full(graph.n, -1, dtype=np.int64)
-    assigned[node[order][last]] = community[order][last]
-    missing = np.flatnonzero(assigned < 0)
-    if len(missing):
-        raise EdgeListError(f"missing community labels for {len(missing)} nodes "
-                            f"(first: {graph.node_labels[missing[0]]!r})")
-    return assigned
+    return node[known], community
 
 
 def _int_label_positions(graph, values):

@@ -1,13 +1,15 @@
 """SVD embeddings: factor geometry, effective dimension, truncation, CSV I/O."""
 
 import io
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import reference_read_embedding_csv
-from spherembed import (EmbeddingResult, Graph, effective_dimension, svd_embedding,
-                        truncate_embedding)
+from spherembed import (EmbeddingResult, Graph, effective_dimension, embedding, graphs,
+                        svd_embedding, truncate_embedding)
 from spherembed.embedding import (read_embedding_csv, write_embedding_csv,
                                   write_spectrum_csv)
 from spherembed.solver import project_rows
@@ -139,7 +141,8 @@ def test_reader_matches_reference(rng, tmp_path, d):
         for variant in (text, text.replace("\n", "\r\n"), _with_blank_lines(rng, text)):
             path = tmp_path / f"emb{trial}.csv"
             path.write_bytes(variant.encode())
-            want_labels, want = reference_read_embedding_csv(io.StringIO(variant))
+            want_labels, want = reference_read_embedding_csv(
+                io.StringIO(variant.removeprefix("\ufeff")))
             for source in (io.StringIO(variant), path, str(path)):
                 got_labels, got = read_embedding_csv(source)
                 assert got_labels == want_labels
@@ -178,6 +181,72 @@ def test_reader_ignores_byte_order_mark(tmp_path, kind):
 def test_reader_rejects_malformed_rows(text, message):
     with pytest.raises(ValueError, match=message):
         read_embedding_csv(io.StringIO(text))
+
+
+# The reader cuts its input into chunks of graphs.CHUNK_BYTES that end with a
+# whole line; with chunks of a few bytes it must read what the whole-text
+# reader reads, and fail with the same message on the same line.
+
+@pytest.mark.parametrize("chunk_bytes", [1, 100])
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_reader_matches_reference_in_tiny_chunks(rng, tmp_path, d, chunk_bytes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    test_reader_matches_reference(rng, tmp_path, d)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 9, 40])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\x1e", "\x85", "\u2028"])
+def test_reader_across_chunk_boundaries(newline, chunk_bytes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    lines = ["node,coord_1,coord_2", "a b,0.5,-1.25", "", "#c,2.0,3e-300", "  ", "d\xe9,1,2"]
+    text = newline.join(lines) + newline
+    for variant in (text, "\ufeff" + text, text.rstrip(newline)):
+        for source in (io.StringIO(variant), io.BytesIO(variant.encode())):
+            labels, rows = read_embedding_csv(source)
+            assert embedding._read_chunks(variant.removeprefix("\ufeff").encode()) is not None
+            want_labels, want = reference_read_embedding_csv(
+                io.StringIO(variant.removeprefix("\ufeff")))
+            assert labels == want_labels == ["a b", "#c", "d\xe9"]
+            assert rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 9, 40])
+@pytest.mark.parametrize("last, message", [
+    ("z,1.0", "line 10: expected 3 cells as in the header, got 2"),
+    ("z,1.0,2.0,3.0", "line 10: expected 3 cells as in the header, got 4"),
+    ("z,1.0,inf", "line 10: non-finite coordinate"),
+    ("z,1.0,x", "could not convert string 'x' to float64 at row 4, column 2."),
+])
+def test_reader_errors_in_the_last_chunk_name_their_line(last, message, chunk_bytes,
+                                                         monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    text = "node,coord_1,coord_2\n" + "a,0.5,1.5\n\n" * 4 + last + "\n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_embedding_csv(io.StringIO(text))
+    empty = "node,\n" + "a,0.5\r\n\r\n" * 4 + "z,\r\n"
+    with pytest.raises(ValueError, match="^line 10: empty coordinate$"):
+        read_embedding_csv(io.StringIO(empty))
+    # one row short by two cells and one long by two: the chunk's comma total is right
+    balanced = "node,coord_1,coord_2\n" + "a,0.5,1.5\n" * 4 + "y\nz,1.0,2.0,3.0,4.0\n"
+    with pytest.raises(ValueError, match="^line 6: expected 3 cells as in the header, got 1$"):
+        read_embedding_csv(io.StringIO(balanced))
+
+
+def test_reader_peak_memory_is_bounded_by_its_result(tmp_path):
+    n, d = 20_000, 10
+    U = project_rows(np.random.default_rng(1).standard_normal((n, d)))
+    graph = Graph.from_edges(n, np.arange(n - 1), np.arange(1, n), range(n))
+    emb = EmbeddingResult(U=U, s=np.ones(d), epsilon=0.01, d_eff=d, total_mass=float(n))
+    path = tmp_path / "embedding.csv"
+    path.write_text(write_embedding_csv(emb, graph))
+    tracemalloc.start()
+    try:
+        labels, rows = read_embedding_csv(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.tobytes() == U.tobytes() and len(labels) == n
+    assert peak <= 3.5 * kept, f"peak {peak / 1e6:.1f} MB to keep {kept / 1e6:.1f} MB"
 
 
 def test_ellipsoidal_csv_kind(rng, barbell):

@@ -2,6 +2,7 @@
 
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from oracles import (dense_adjacency, make_graph, random_connected_graph,
                      reference_generate_planted_partition, reference_load_edge_list,
                      reference_load_ground_truth)
 from spherembed import (EdgeListError, Graph, PlantedPartitionSpec,
-                        largest_connected_component, load_edge_list, load_ground_truth,
-                        write_edge_list)
+                        generate_planted_partition, graphs, largest_connected_component,
+                        load_edge_list, load_ground_truth, write_edge_list)
 
 
 def test_parse_whitespace_comma_comments():
@@ -276,7 +277,7 @@ def test_loader_matches_reference(style, tmp_path):
         _assert_same_graph(load_edge_list(_open_as(kind, text, tmp_path)), want)
 
 
-@pytest.mark.parametrize("text", [
+EDGE_CASES = [
     "0 1\n2\n", "0 1 2\n", "a,b,c\n", ",\n0 1\n", "0 1\n , \n", ",# 1\n",
     "# only a comment\n", "", "\r\n\r\n", "1 1\n2 2\n", "0 1\r\n\t# c\r\n x y z\r\n",
     "0 1\r2 3 4\r", "0 1\x1c2\n", "0\u20281\n", "0\xa01\n1 2\n", "0 1\v1 2\f2 0\n",
@@ -284,7 +285,10 @@ def test_loader_matches_reference(style, tmp_path):
     "999999999999999999 1\n1 2\n", "0 1\n1 2\n\n2 0\n3 3\n",
     "0\u20031\u20281\xa02\x852\u30000\n", "a\u2029b\u205fc d\n", "0 1\r\x852 3 4\n",
     "é 1\n1\u202f2\n", "0 1\x1f\n1\t2\x1d# x\n",
-])
+]
+
+
+@pytest.mark.parametrize("text", EDGE_CASES)
 def test_loader_matches_reference_on_edge_cases(text):
     try:
         want = reference_load_edge_list(io.StringIO(text))
@@ -340,3 +344,119 @@ def test_content_hash_computed_once(barbell, monkeypatch):
     digest = barbell.content_hash()
     monkeypatch.setattr(type(barbell), "_upper_edges", lambda g: pytest.fail("rehashed"))
     assert barbell.content_hash() == digest
+
+
+# Readers cut their input into chunks of graphs.CHUNK_BYTES that end with a
+# whole line. With chunks of a few bytes, a chunk boundary falls inside
+# almost every line, so each reader must give what it gives on the whole
+# input, errors and their line numbers included.
+TINY_CHUNKS = [1, 3, 7]
+
+
+@pytest.mark.parametrize("chunk_bytes", TINY_CHUNKS)
+@pytest.mark.parametrize("style", sorted(LABEL_STYLES))
+def test_loader_matches_reference_in_tiny_chunks(style, chunk_bytes, tmp_path, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    test_loader_matches_reference(style, tmp_path)
+
+
+@pytest.mark.parametrize("chunk_bytes", range(1, 9))
+def test_loader_matches_reference_on_edge_cases_in_tiny_chunks(chunk_bytes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    for text in EDGE_CASES:
+        test_loader_matches_reference_on_edge_cases(text)
+
+
+@pytest.mark.parametrize("chunk_bytes", TINY_CHUNKS)
+@pytest.mark.parametrize("style", sorted(TRUTH_STYLES))
+def test_ground_truth_matches_reference_in_tiny_chunks(style, chunk_bytes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    test_ground_truth_matches_reference(style)
+
+
+@pytest.mark.parametrize("chunk_bytes", range(1, 14))
+def test_chunks_end_with_whole_lines(chunk_bytes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    data = "0 1\r\n12345 67890\n# comment, 3 4\x1e5 6\r7 8\r\n\r\n\f9\v10".encode()
+    pieces = list(graphs._chunks(data))
+    assert [start for start, _ in pieces] == [0] + [end for _, end in pieces[:-1]]
+    assert pieces[-1][1] == len(data)
+    for start, end in pieces[:-1]:
+        assert end - start >= chunk_bytes
+        assert data[end - 1:end + 1] != b"\r\n"
+    lines = [data[start:end].decode().splitlines() for start, end in pieces]
+    assert sum(lines, []) == data.decode().splitlines()
+
+
+CHUNK_CASES = {
+    "token across a boundary": "123456789 987654321\n987654321 5\n5 123456789\n",
+    "CRLF pair across a boundary": "0 1\r\n1 2\r\n2 0\r\n3 0\r\n",
+    "byte order mark": "\ufeff10 11\n11 12\n12 10\n",
+    "record separator": "0 1\x1e1 2\x1e2 0\x1e",
+    "line separator": "0 1\u20281 2\u20282 0\u2028",
+    "next line": "0 1\x851 2\x852 0\x85",
+    "comment across a boundary": "0 1\n# one comment, 1 2 3 4 5 6\n1 2\n  #, x\n2 0\n",
+    "malformed last line": "0 1\n1 2\n2 0\n" * 5 + "3 4 5\n",
+}
+
+
+def _data_tokens(text):
+    """Integer value of every token on the data lines of text, line by line."""
+    lines = [line.strip() for line in text.removeprefix("\ufeff").splitlines()]
+    return [int(t) for line in lines if line and not line.startswith("#")
+            for t in line.replace(",", " ").split()]
+
+
+@pytest.mark.parametrize("chunk_bytes", range(1, 12))
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_loader_across_chunk_boundaries(case, chunk_bytes, monkeypatch):
+    text = CHUNK_CASES[case]
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    # the chunked tokenizer reads each well-formed case itself, not the whole-input fallback
+    values = graphs._decimal_tokens(graphs._read_utf8(io.StringIO(text), ascii_blanks=True))
+    if case == "malformed last line":
+        assert values is None
+    else:
+        assert values.tolist() == _data_tokens(text)
+    for kind in ("text", "bytes"):
+        source = io.BytesIO(text.encode()) if kind == "bytes" else io.StringIO(text)
+        if case == "malformed last line":
+            with pytest.raises(EdgeListError, match="^line 16: expected 2 tokens, got 3 "):
+                load_edge_list(source)
+            continue
+        want = reference_load_edge_list(io.StringIO(text.removeprefix("\ufeff")))
+        _assert_same_graph(load_edge_list(source), want)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 5, 11])
+def test_ground_truth_errors_in_the_last_chunk_name_their_line(chunk_bytes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    g = load_edge_list(io.StringIO("".join(f"{i} {i + 1}\n" for i in range(9))))
+    lines = "".join(f"{i} {i % 2}\r\n" for i in range(10))
+    assert load_ground_truth(io.StringIO(lines), g).tolist() == [0, 1] * 5
+    assert graphs._decimal_truth(lines.encode(), g, False) is not None  # read chunk by chunk
+    with pytest.raises(EdgeListError, match="^line 11: expected 'node community', got 3"):
+        load_ground_truth(io.StringIO(lines + "3 0 1\r\n"), g)
+    with pytest.raises(EdgeListError, match="^line 11: unknown node label 99"):
+        load_ground_truth(io.StringIO(lines + "99 0\r\n"), g)
+
+
+def _traced(read, *args):
+    """What read returns, the peak of memory it allocated, and what it still holds."""
+    tracemalloc.start()
+    try:
+        out = read(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, kept
+
+
+def test_loader_peak_memory_is_bounded_by_its_result(tmp_path):
+    spec = PlantedPartitionSpec(n=20_000, k=10, p_in=12 / 1_999, p_out=3 / 18_000, seed=1)
+    graph, _ = generate_planted_partition(spec)
+    path = tmp_path / "edges.txt"
+    path.write_text(write_edge_list(graph))
+    loaded, peak, kept = _traced(load_edge_list, path)
+    assert loaded.content_hash() == graph.content_hash()
+    assert peak <= 3 * kept, f"peak {peak / 1e6:.1f} MB to keep {kept / 1e6:.1f} MB"
