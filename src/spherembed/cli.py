@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import read_embedding_csv, write_embedding_csv, write_spectrum_csv
-from .graphs import EdgeListError, _read_text, load_edge_list, load_ground_truth
+from .graphs import EdgeListError, _read_utf8, load_edge_list, load_ground_truth
 from .metrics import nmi as nmi_metric
 from .metrics import summarize, write_summary_json
 from .partition import write_partition_csv, write_run_log
@@ -211,7 +211,7 @@ def _read_cluster_ids(source, node_labels):
     A row is a node label and an integer id, split at the row's last comma.
     Blank rows are skipped, and a node's last row wins.
     """
-    lines = _read_text(source).splitlines()
+    lines = _read_utf8(source).decode("utf-8", "surrogatepass").splitlines()
     if not lines or lines[0] != "node_label,cluster_id":
         raise EdgeListError("not a partition CSV: missing header")
     rows = [line for line in lines[1:] if line.strip()]

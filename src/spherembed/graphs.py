@@ -6,6 +6,7 @@ Loaders reduce the input to its largest connected component and keep a
 stable map back to the original node labels.
 """
 
+import collections
 import hashlib
 import itertools
 import logging
@@ -20,13 +21,13 @@ from scipy.sparse import csgraph
 
 log = logging.getLogger(__name__)
 
-# Readers tokenize their input CHUNK_BYTES at a time, each chunk ending with
-# a whole line. Tokenizing holds about 16 bytes of per-byte masks, line
-# numbers and token offsets for each byte of its chunk, so whole-input
-# temporaries would be 16 times the file. At 256 KB they stay near 4 MB at
-# any input size, below what a 20 000-node graph keeps (1 MB chunks held
-# 17 MB, four times it), and a 100 000-node load is no slower than in 1 MB
-# chunks.
+# The edge-list and embedding readers tokenize their input CHUNK_BYTES at a
+# time, each chunk ending with a whole line. Tokenizing holds about 16 bytes
+# of per-byte masks, line numbers and token offsets for each byte of its
+# chunk, so whole-input temporaries would be 16 times the file. At 256 KB
+# they stay near 4 MB at any input size, below what a 20 000-node graph
+# keeps (1 MB chunks held 17 MB, four times it), and a 100 000-node load is
+# no slower than in 1 MB chunks.
 CHUNK_BYTES = 1 << 18
 DIGEST_ROWS = 8192  # CSR rows hashed at a time
 
@@ -135,16 +136,6 @@ class Graph:
         return self._digest
 
 
-def _read_text(source):
-    """Whole input as text, without a leading UTF-8 byte-order mark."""
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            return data.decode("utf-8-sig")
-        return data.removeprefix("\ufeff")
-    return Path(source).read_text(encoding="utf-8-sig")
-
-
 # rows formatted per block: each cell is a Python object while its block is
 # formatted, and one tolist() of 100k x 10 floats would hold about 32 MB
 CSV_ROWS = 4096
@@ -244,14 +235,14 @@ def _line_breaks(raw):
 
 
 def _edge_tokens(raw):
-    """Tokens on the data lines of a UTF-8 buffer, and its first malformed line.
+    """Tokens on the data lines of a UTF-8 buffer, its first malformed line and its line breaks.
 
     Lines are numbered as str.splitlines() numbers them; blank lines and
     lines whose first non-blank character is '#' are skipped; commas
     separate tokens like whitespace. Returns the start offsets and lengths
     of the data-line tokens, which of all tokens in the buffer those are,
-    and (line number, token count) of the first data line without exactly
-    two tokens, or None.
+    (line number, token count) of the first data line without exactly two
+    tokens, or None, and the number of line breaks in the buffer.
     """
     line_of = np.cumsum(_line_breaks(raw), dtype=np.int32 if len(raw) < 2**31 else np.int64)
     n_lines = int(line_of[-1]) + 1 if len(raw) else 1
@@ -271,7 +262,7 @@ def _edge_tokens(raw):
     bad = np.flatnonzero(edge_line & (counts != 2))
     malformed = (int(bad[0]) + 1, int(counts[bad[0]])) if len(bad) else None
     keep = edge_line[token_line]
-    return starts[keep], (ends - starts)[keep], keep, malformed
+    return starts[keep], (ends - starts)[keep], keep, malformed, n_lines - 1
 
 
 def _kept_tokens(text, keep):
@@ -283,8 +274,14 @@ def _kept_tokens(text, keep):
 
 
 def _decimal_values(raw, starts, lengths):
-    """int64 value of every token if all are plain decimal numerals, else None."""
+    """int64 value of every token if all are plain decimal numerals, else None.
+
+    A numeral with a leading zero ("07", not "0") is not plain: the text of
+    each plain numeral is exactly str() of its value.
+    """
     if not len(starts) or lengths.max() > _MAX_DIGITS:
+        return None
+    if ((raw[starts] == ord("0")) & (lengths > 1)).any():
         return None
     values = np.zeros(len(starts), dtype=np.int64)
     ends = starts + lengths
@@ -298,38 +295,12 @@ def _decimal_values(raw, starts, lengths):
     return values
 
 
-def _decimal_tokens(data, second_unpadded=False):
-    """int64 value of every data-line token of UTF-8 bytes, read a chunk at a time.
-
-    None unless there are tokens, every data line holds two and every token
-    is a plain decimal numeral; with second_unpadded, None too if a line's
-    second token has a leading zero ("07"). Only the values outlive their
-    chunk.
-    """
-    raw = np.frombuffer(data, dtype=np.uint8)
-    parts = []
-    for start, end in _chunks(data):
-        chunk = raw[start:end]
-        starts, lengths, _, malformed = _edge_tokens(chunk)
-        if malformed:
-            return None
-        if not len(starts):
-            continue
-        values = _decimal_values(chunk, starts, lengths)
-        if values is None:
-            return None
-        if second_unpadded and ((chunk[starts[1::2]] == ord("0")) & (lengths[1::2] > 1)).any():
-            return None
-        parts.append(values)
-    return np.concatenate(parts) if parts else None
-
-
 def _value_codes(values):
     """Codes of int64 values into their sorted distinct values, and those values as ints.
 
-    "07" and "7" are both 7. Values spanning no more than their count are
-    coded through a lookup table over that span; others are ranked after one
-    sort, with the ranks written over values.
+    Values spanning no more than their count are coded through a lookup
+    table over that span; others are ranked after one sort, with the ranks
+    written over values.
     """
     low = int(values.min())
     values -= low
@@ -350,42 +321,50 @@ def _value_codes(values):
     return codes, (distinct + low).tolist()
 
 
-def _token_codes(data):
-    """Endpoints of every edge line of UTF-8 bytes as (codes, labels), read as strings.
-
-    labels holds the distinct node labels, normalized and sorted, and codes
-    index it in file order, two per line.
-    """
-    starts, lengths, keep, malformed = _edge_tokens(np.frombuffer(data, dtype=np.uint8))
-    if malformed:
-        lineno, got = malformed
-        if got > 2:
-            raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got} "
-                                "(weighted edges are not supported)")
-        raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got}")
-    tokens = _kept_tokens(data.decode("utf-8", "surrogatepass"), keep)
-    distinct = list(dict.fromkeys(tokens))  # normalize each token once
-    normalized = _normalize_labels(distinct)
-    labels = sorted(set(normalized))  # "07" and "7" are one label
-    rank = {lab: i for i, lab in enumerate(labels)}
-    code = {tok: rank[lab] for tok, lab in zip(distinct, normalized)}
-    codes = np.fromiter(map(code.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    return codes, labels
+def _malformed(lineno, got):
+    """The error for an edge-list data line holding got tokens, not two."""
+    weighted = " (weighted edges are not supported)" if got > 2 else ""
+    return EdgeListError(f"line {lineno}: expected 2 tokens, got {got}{weighted}")
 
 
 def _edge_endpoints(source):
     """Endpoints of every edge line of source as (codes, labels), two codes per line.
 
     labels holds the distinct node labels, normalized and sorted, and codes
-    index it in file order. An input of decimal numerals is read chunk by
-    chunk; any other, and any malformed one, is read whole.
+    index it in file order. The input is read a chunk at a time. A chunk of
+    plain decimal numerals keeps their int64 values; any other interns its
+    tokens as text, each stored as -1 - its id in the order of first
+    appearance. Only the distinct tokens are normalized, at the end.
     """
     data = _read_utf8(source, ascii_blanks=True)
-    values = _decimal_tokens(data)
-    if values is None:
-        return _token_codes(data)
-    del data  # the text dies before the codes and the graph are built
-    return _value_codes(values)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    parts, lines = [np.zeros(0, dtype=np.int64)], 0
+    names = collections.defaultdict(itertools.count().__next__)  # a new token takes the next id
+    for start, end in _chunks(data):
+        starts, lengths, keep, malformed, breaks = _edge_tokens(raw[start:end])
+        if malformed:
+            raise _malformed(lines + malformed[0], malformed[1])
+        lines += breaks
+        values = _decimal_values(raw[start:end], starts, lengths)
+        if values is None:
+            tokens = _kept_tokens(data[start:end].decode("utf-8", "surrogatepass"), keep)
+            values = -1 - np.fromiter(map(names.__getitem__, tokens), np.int64, len(tokens))
+        parts.append(values)
+    del data, raw  # the text dies before the codes and the graph are built
+    values = np.concatenate(parts)
+    del parts
+    if not names:
+        return _value_codes(values) if len(values) else (values, [])
+    # "07" and "7" are one label when every token is an integer, else two
+    decimal = np.unique(values[values >= 0])
+    normalized = _normalize_labels([*names, *map(str, decimal.tolist())])
+    labels = sorted(set(normalized))
+    rank = {lab: i for i, lab in enumerate(labels)}
+    code = np.fromiter(map(rank.__getitem__, normalized), dtype=np.int64, count=len(normalized))
+    interned = values < 0
+    values[interned] = -1 - values[interned]  # the token's entry in normalized
+    values[~interned] = len(names) + np.searchsorted(decimal, values[~interned])
+    return code[values], labels
 
 
 def load_edge_list(source):
@@ -460,8 +439,7 @@ def load_ground_truth(source, graph, ignore_extra=False):
     twice takes its last community.
     """
     data = _read_utf8(source, ascii_blanks=True)
-    node, community = (_decimal_truth(data, graph, ignore_extra)
-                       or _truth_pairs(data, graph, ignore_extra))
+    node, community = _truth_pairs(data, graph, ignore_extra)
     order = np.argsort(node, kind="stable")
     last = np.append(node[order][1:] != node[order][:-1], True)  # a node's last line wins
     assigned = np.full(graph.n, -1, dtype=np.int64)
@@ -473,37 +451,20 @@ def load_ground_truth(source, graph, ignore_extra=False):
     return assigned
 
 
-def _decimal_truth(data, graph, ignore_extra):
-    """(graph index, community code) of every line naming a graph node, read a chunk at a time.
-
-    None unless the graph's labels are integers, every data line holds two
-    plain decimal numerals, no community has a leading zero, and every node
-    is in the graph or ignore_extra is set: _truth_pairs reads the rest.
-    """
-    if not isinstance(graph.node_labels[0], (int, np.integer)):
-        return None
-    values = _decimal_tokens(data, second_unpadded=True)
-    if values is None:
-        return None
-    node = _int_label_positions(graph, values[0::2])
-    known = node >= 0
-    if not (ignore_extra or known.all()):
-        return None  # the whole-input reader names the line
-    return node[known], _first_appearance_codes(values[1::2][known])
-
-
 def _truth_pairs(data, graph, ignore_extra):
-    """(graph index, community code) of every line naming a graph node, read whole."""
+    """(graph index, community code) of every line naming a graph node.
+
+    A truth file holds one short line per node, so it is read whole: its
+    temporaries stay below what the graph it labels keeps.
+    """
     raw = np.frombuffer(data, dtype=np.uint8)
-    starts, lengths, keep, malformed = _edge_tokens(raw)
+    starts, lengths, keep, malformed, _ = _edge_tokens(raw)
     if malformed:  # lines before it are read first: one may hold an unknown node
         before = int(np.searchsorted(np.cumsum(_line_breaks(raw))[starts], malformed[0] - 1))
         starts, lengths = starts[:before], lengths[:before]
     int_graph = isinstance(graph.node_labels[0], (int, np.integer))
     values = _decimal_values(raw, starts[0::2], lengths[0::2]) if int_graph else None
-    codes = _decimal_values(raw, starts[1::2], lengths[1::2])
-    if codes is not None and ((raw[starts[1::2]] == ord("0")) & (lengths[1::2] > 1)).any():
-        codes = None  # "07" and "7" are two communities
+    codes = _decimal_values(raw, starts[1::2], lengths[1::2])  # "07" and "7" are two communities
     if values is None or codes is None:
         tokens = _kept_tokens(data.decode("utf-8", "surrogatepass"), keep)[:len(starts)]
 

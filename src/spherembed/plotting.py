@@ -4,6 +4,8 @@ Output is a standalone SVG string built deterministically from the inputs:
 the same coordinates and labels always produce byte-identical markup.
 """
 
+import itertools
+
 import numpy as np
 
 # fixed 16-color palette, cycled by cluster id
@@ -16,6 +18,9 @@ PALETTE = [
 PANEL = 360
 MARGIN = 30
 CIRCLE = '<circle cx="{:.3f}" cy="{:.3f}" r="3" fill="{}" fill-opacity="0.8"/>'
+# circles formatted per block, joined into one string: a Python string per
+# circle of a 100 000-node panel would hold about 13 MB at once
+SVG_ROWS = 4096
 
 
 def _scale(values, span):
@@ -38,13 +43,10 @@ def render_scatter_svg(coords, labels=None):
         raise ValueError("scatter plotting needs at least 2 coordinates per node; "
                          "for 1-dimensional embeddings export the spectrum instead")
     pairs = [(0, 1)] if coords.shape[1] == 2 else [(0, 1), (0, 2)]
-    if labels is None:
-        colors = [PALETTE[0]] * coords.shape[0]
-    else:
+    if labels is not None:
         labels = np.asarray(labels, dtype=int)
         if len(labels) != coords.shape[0]:
             raise ValueError("labels length does not match coordinate rows")
-        colors = np.array(PALETTE)[labels % len(PALETTE)].tolist()
 
     width = len(pairs) * (PANEL + 2 * MARGIN)
     height = PANEL + 2 * MARGIN
@@ -64,6 +66,11 @@ def render_scatter_svg(coords, labels=None):
                      f'fill="#555555">coord {ax + 1} vs coord {ay + 1}</text>')
         cx = x0 + sx(coords[:, ax])
         cy = y0 + PANEL - sy(coords[:, ay])
-        parts.extend(map(CIRCLE.format, cx.tolist(), cy.tolist(), colors))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        for start in range(0, len(coords), SVG_ROWS):
+            block = slice(start, start + SVG_ROWS)
+            colors = (itertools.repeat(PALETTE[0]) if labels is None
+                      else np.array(PALETTE)[labels[block] % len(PALETTE)].tolist())
+            parts.append("\n".join(map(CIRCLE.format, cx[block].tolist(), cy[block].tolist(),
+                                       colors)))
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -158,7 +158,13 @@ def solve(k, cfg, rng=None, x0=None):
 
 
 def write_trace_csv(result, include_delta=False):
-    """Text of the objective trace as "iteration,objective[,delta_criterion]"."""
+    """Text of result.trace as "iteration,objective[,delta_criterion]".
+
+    The objective column is the series the stop test read (see SolveResult):
+    the surrogate Tr((K x_{j-1})^T x_j) for the momentum main variant, the
+    objective Tr(x_j^T K x_j) for the plain and appendix methods. The header
+    keeps its name either way.
+    """
     header, values = ["iteration", "objective"], result.trace
     if include_delta and result.delta_trace is not None:
         header.append("delta_criterion")

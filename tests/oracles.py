@@ -14,7 +14,6 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from spherembed import EdgeListError, Graph, load_edge_list
-from spherembed.graphs import _read_text
 from spherembed.metrics import modularity_of_partition
 from spherembed.partition import Partition, _compact, init_centroids, vp_step, z_tilde_value
 from spherembed.plotting import MARGIN, PALETTE, PANEL
@@ -241,6 +240,16 @@ def reference_largest_connected_component(g):
     degrees = np.diff(sub.indptr).astype(np.int64)
     labels = tuple(g.node_labels[i] for i in keep)
     return Graph(adjacency=sub, degrees=degrees, node_labels=labels)
+
+
+def _read_text(source):
+    """Whole input as text, without a leading UTF-8 byte-order mark."""
+    if hasattr(source, "read"):
+        data = source.read()
+        if isinstance(data, bytes):
+            return data.decode("utf-8-sig")
+        return data.removeprefix("\ufeff")
+    return Path(source).read_text(encoding="utf-8-sig")
 
 
 # The ground-truth loader as it stood before it was vectorized: one

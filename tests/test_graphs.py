@@ -397,14 +397,14 @@ CHUNK_CASES = {
     "next line": "0 1\x851 2\x852 0\x85",
     "comment across a boundary": "0 1\n# one comment, 1 2 3 4 5 6\n1 2\n  #, x\n2 0\n",
     "malformed last line": "0 1\n1 2\n2 0\n" * 5 + "3 4 5\n",
+    # decimal chunks keep int64 values and others intern their tokens as text
+    "padded numeral among text": "07 7\n7 x\nx 8\n8 07\n10 8\n12 10\n",
+    "padded numeral among integers": "07 7\n7 8\n8 007\n10 8\n12 10\n",
+    "text labels": "v0 v1\nv1 v2\nv2 v0\nv2 v10\nv10 v3\n",
+    "malformed line after text": "a b\nb c\nc a\n1 2\n2 3\n3 1\n" * 2 + "3 1 4\n",
 }
-
-
-def _data_tokens(text):
-    """Integer value of every token on the data lines of text, line by line."""
-    lines = [line.strip() for line in text.removeprefix("\ufeff").splitlines()]
-    return [int(t) for line in lines if line and not line.startswith("#")
-            for t in line.replace(",", " ").split()]
+CHUNK_ERRORS = {"malformed last line": "^line 16: expected 2 tokens, got 3 ",
+                "malformed line after text": "^line 13: expected 2 tokens, got 3 "}
 
 
 @pytest.mark.parametrize("chunk_bytes", range(1, 12))
@@ -412,16 +412,10 @@ def _data_tokens(text):
 def test_loader_across_chunk_boundaries(case, chunk_bytes, monkeypatch):
     text = CHUNK_CASES[case]
     monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
-    # the chunked tokenizer reads each well-formed case itself, not the whole-input fallback
-    values = graphs._decimal_tokens(graphs._read_utf8(io.StringIO(text), ascii_blanks=True))
-    if case == "malformed last line":
-        assert values is None
-    else:
-        assert values.tolist() == _data_tokens(text)
     for kind in ("text", "bytes"):
         source = io.BytesIO(text.encode()) if kind == "bytes" else io.StringIO(text)
-        if case == "malformed last line":
-            with pytest.raises(EdgeListError, match="^line 16: expected 2 tokens, got 3 "):
+        if case in CHUNK_ERRORS:
+            with pytest.raises(EdgeListError, match=CHUNK_ERRORS[case]):
                 load_edge_list(source)
             continue
         want = reference_load_edge_list(io.StringIO(text.removeprefix("\ufeff")))
@@ -434,7 +428,6 @@ def test_ground_truth_errors_in_the_last_chunk_name_their_line(chunk_bytes, monk
     g = load_edge_list(io.StringIO("".join(f"{i} {i + 1}\n" for i in range(9))))
     lines = "".join(f"{i} {i % 2}\r\n" for i in range(10))
     assert load_ground_truth(io.StringIO(lines), g).tolist() == [0, 1] * 5
-    assert graphs._decimal_truth(lines.encode(), g, False) is not None  # read chunk by chunk
     with pytest.raises(EdgeListError, match="^line 11: expected 'node community', got 3"):
         load_ground_truth(io.StringIO(lines + "3 0 1\r\n"), g)
     with pytest.raises(EdgeListError, match="^line 11: unknown node label 99"):
@@ -459,4 +452,22 @@ def test_loader_peak_memory_is_bounded_by_its_result(tmp_path):
     path.write_text(write_edge_list(graph))
     loaded, peak, kept = _traced(load_edge_list, path)
     assert loaded.content_hash() == graph.content_hash()
+    assert peak <= 3 * kept, f"peak {peak / 1e6:.1f} MB to keep {kept / 1e6:.1f} MB"
+
+
+def _label_edges(g, label):
+    """Each edge of g once, as the sorted pair of label() of its two node labels."""
+    labels = [label(lab) for lab in g.node_labels]
+    return sorted(tuple(sorted((labels[i], labels[j]))) for i, j in g.edges())
+
+
+def test_loader_peak_memory_is_bounded_with_text_labels(tmp_path):
+    # labels that are not numerals are interned a chunk at a time, not read whole
+    spec = PlantedPartitionSpec(n=20_000, k=10, p_in=12 / 1_999, p_out=3 / 18_000, seed=1)
+    graph, _ = generate_planted_partition(spec)
+    path = tmp_path / "edges.txt"
+    path.write_text(re.sub(r"(?m)^(\d+) (\d+)$", r"v\1 v\2", write_edge_list(graph)))
+    loaded, peak, kept = _traced(load_edge_list, path)
+    assert (loaded.n, loaded.m) == (graph.n, graph.m)
+    assert _label_edges(loaded, lambda lab: int(lab[1:])) == _label_edges(graph, int)
     assert peak <= 3 * kept, f"peak {peak / 1e6:.1f} MB to keep {kept / 1e6:.1f} MB"

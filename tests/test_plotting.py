@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_render_scatter_svg
+from spherembed import plotting
 from spherembed.plotting import PALETTE, render_scatter_svg
 
 
@@ -77,3 +78,15 @@ def test_svg_bytes_match_reference(rng, d):
             assert got.encode() == reference_render_scatter_svg(pts, labels).encode()
     flat = np.column_stack([np.full(5, 2.0), np.arange(5.0), np.full((5, d - 2), -1.0)])
     assert render_scatter_svg(flat) == reference_render_scatter_svg(flat)  # zero spans
+
+
+@pytest.mark.parametrize("svg_rows", [1, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_svg_bytes_match_reference_in_blocks(rng, d, svg_rows, monkeypatch):
+    # circles are formatted SVG_ROWS at a time; block joins must not show
+    monkeypatch.setattr(plotting, "SVG_ROWS", svg_rows)
+    for n in (1, 3, 10):
+        pts = coords(rng, n=n, d=d)
+        for labels in (None, rng.integers(-40, 40, size=n)):
+            got = render_scatter_svg(pts, labels)
+            assert got.encode() == reference_render_scatter_svg(pts, labels).encode()
