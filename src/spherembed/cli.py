@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import read_embedding_csv, write_embedding_csv, write_spectrum_csv
-from .graphs import EdgeListError, _read_utf8, load_edge_list, load_ground_truth
+from .graphs import EdgeListError, _csv_rows, load_edge_list, load_ground_truth
 from .metrics import nmi as nmi_metric
 from .metrics import summarize, write_summary_json
 from .partition import write_partition_csv, write_run_log
@@ -208,27 +208,15 @@ def cmd_partition(args):
 def _read_cluster_ids(source, node_labels):
     """Cluster id of each of node_labels, read from a partition CSV.
 
-    A row is a node label and an integer id, split at the row's last comma.
-    Blank rows are skipped, and a node's last row wins.
+    The rules of graphs._csv_rows apply under the exact header
+    "node_label,cluster_id": each row is a node label and an integer id,
+    and a row that breaks a rule raises ValueError naming its line. Rows
+    may come in any order; a node's last row wins and rows of other nodes
+    are ignored.
     """
-    lines = _read_utf8(source).decode("utf-8", "surrogatepass").splitlines()
-    if not lines or lines[0] != "node_label,cluster_id":
-        raise EdgeListError("not a partition CSV: missing header")
-    rows = [line for line in lines[1:] if line.strip()]
-    if not rows:
-        raise EdgeListError(f"partition CSV is missing node {node_labels[0]!r}")
-    raw = np.frombuffer("\n".join(rows).encode("utf-8", "surrogatepass"), dtype=np.uint8).copy()
-    ends = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
-    commas = np.flatnonzero(raw == ord(","))
-    upto = np.searchsorted(commas, ends)  # commas before each row's end
-    if (np.diff(upto, prepend=0) == 0).any():
-        raise EdgeListError("not a partition CSV: a row has no comma")
-    raw[commas[upto - 1]] = ord("\n")  # split each row at its last comma
-    cells = raw.tobytes().decode("utf-8", "surrogatepass").split("\n")
-    nodes = cells[0::2]
-    if not all(map(str.strip, cells[1::2])):
-        raise EdgeListError("not a partition CSV: a row has no cluster id")
-    ids = np.loadtxt(cells[1::2], dtype=np.int64, comments=None, ndmin=1)
+    nodes, ids = _csv_rows(source, "node_label,cluster_id".__eq__,
+                           "not a partition CSV: missing header", np.int64)
+    ids = ids[:, 0]
     if nodes == node_labels and len(set(nodes)) == len(nodes):
         return ids  # rows in node order, each node once: the writer's layout
     row_of = dict(zip(nodes, range(len(nodes))))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import _chunks, _csv_text, _read_utf8
+from .graphs import _csv_rows, _csv_text
 
 RANK_RTOL = 1e-10  # relative singular value threshold for the numerical rank
 
@@ -123,112 +123,16 @@ def write_embedding_csv(result, graph, kind="spherical"):
 def read_embedding_csv(source):
     """Read an embedding CSV back into (node label strings, coordinate matrix).
 
-    A leading UTF-8 byte-order mark is dropped and blank lines are skipped.
-    The label is everything before a row's first comma. Every row must have
-    as many cells as the header and every coordinate must be finite; a row
-    that breaks either rule raises ValueError naming its line number.
+    Rows are read by the rules of graphs._csv_rows under a header starting
+    "node,": a row with the wrong cell count, or a coordinate that is empty,
+    not a number or not finite, raises ValueError naming its line; a file
+    without rows raises ValueError too.
     """
-    data = _read_utf8(source)
-    read = _read_chunks(data)
-    if read is None:  # some rule is broken: the whole-text reader names the line
-        return _read_lines(data.decode("utf-8", "surrogatepass").splitlines())
-    return read
-
-
-def _read_chunks(data):
-    """(labels, coordinates) of an embedding CSV's UTF-8 bytes, read a chunk at a time.
-
-    Coordinates are parsed into one block sized from the line count, so the
-    only per-row objects are the labels. None if the input breaks a rule.
-    """
-    labels, coords, filled = [], None, 0
-    for start, end in _chunks(data):
-        text = str(memoryview(data)[start:end], "utf-8", "surrogatepass")
-        lines = text.splitlines()
-        commas = text.count(",")
-        del text
-        if coords is None:  # the first chunk starts with the header
-            if not lines[0].startswith("node,"):
-                return None
-            width = lines[0].count(",")
-            commas -= width
-            coords = np.empty((_line_bound(data) - 1, width))
-            del lines[0]
-        body = [line for line in lines if line.strip()]
-        del lines
-        if not body:
-            continue
-        # loadtxt rejects a row with too few cells, so with this total no row
-        # has too many
-        if commas != width * len(body):
-            return None
-        try:  # numpy's C parser rounds exactly as float() does
-            block = np.loadtxt(body, delimiter=",", comments=None, usecols=range(1, width + 1),
-                               ndmin=2)
-        except ValueError:
-            return None
-        if len(block) != len(body) or not np.isfinite(block).all():
-            return None
-        labels += [line[:line.index(",")] for line in body]
-        coords[filled:filled + len(block)] = block
-        filled += len(block)
-    if not filled:
-        return None
-    coords.resize((filled, width), refcheck=False)  # in place: no view of coords exists
-    return labels, coords
-
-
-_NOT_ASCII_BREAK = bytes(sorted(set(range(256)) - set(b"\n\v\f\r\x1c\x1d\x1e")))
-_WIDE_BREAKS = tuple(c.encode() for c in "\x85\u2028\u2029")
-_LINE_ENDS = tuple(c.encode() for c in "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029")
-
-
-def _line_bound(data):
-    """At least the number of lines str.splitlines() finds in the text of UTF-8 bytes.
-
-    Exactly that number unless the text holds "\r\n", whose two bytes are
-    counted as two breaks.
-    """
-    # translate allocates as much as it reads, so it reads 64 KB at a time
-    breaks = sum(len(data[start:start + 65536].translate(None, _NOT_ASCII_BREAK))
-                 for start in range(0, len(data), 65536))
-    if not data.isascii():
-        breaks += sum(map(data.count, _WIDE_BREAKS))
-    return breaks + (not data.endswith(_LINE_ENDS))
-
-
-def _read_lines(lines):
-    """(labels, coordinates) of an embedding CSV's lines; raises for a broken rule."""
-    if not lines or not lines[0].startswith("node,"):
-        raise ValueError("not an embedding CSV: missing 'node,coord_...' header")
-    body = [line for line in lines[1:] if line.strip()]
-    if not body:
+    labels, coords = _csv_rows(source, lambda header: header.startswith("node,"),
+                               "not an embedding CSV: missing 'node,coord_...' header")
+    if not len(coords):
         raise ValueError("embedding CSV has no coordinate rows")
-    width = lines[0].count(",") + 1
-    cells_per_row = np.array([line.count(",") for line in body]) + 1
-    ragged = np.flatnonzero(cells_per_row != width)
-    if len(ragged):
-        row = int(ragged[0])
-        raise ValueError(f"line {_line_number(lines, row)}: expected {width} cells "
-                         f"as in the header, got {int(cells_per_row[row])}")
-    labels, cells = [], []
-    for line in body:
-        label, _, rest = line.partition(",")
-        labels.append(label)
-        cells.append(rest)
-    coords = np.loadtxt(cells, delimiter=",", comments=None, ndmin=2)
-    if len(coords) != len(cells):  # it skips "", the cells of "label," under "node,"
-        raise ValueError(f"line {_line_number(lines, cells.index(''))}: empty coordinate")
-    finite = np.isfinite(coords).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"line {_line_number(lines, row)}: non-finite coordinate")
     return labels, coords
-
-
-def _line_number(lines, row):
-    """1-based line number of the row-th non-blank line after the header."""
-    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
 
 def write_spectrum_csv(result):

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import logging
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -21,8 +22,8 @@ from scipy.sparse import csgraph
 
 log = logging.getLogger(__name__)
 
-# The edge-list and embedding readers tokenize their input CHUNK_BYTES at a
-# time, each chunk ending with a whole line. Tokenizing holds about 16 bytes
+# The edge-list and CSV readers tokenize their input CHUNK_BYTES at a time,
+# each chunk ending with a whole line. Tokenizing holds about 16 bytes
 # of per-byte masks, line numbers and token offsets for each byte of its
 # chunk, so whole-input temporaries would be 16 times the file. At 256 KB
 # they stay near 4 MB at any input size, below what a 20 000-node graph
@@ -160,6 +161,83 @@ def _csv_text(header, labels, values):
     return "".join(parts)
 
 
+def _csv_rows(source, is_header, header_error, dtype=float):
+    """(labels, values) of a "label,v_1,...,v_r" CSV such as _csv_text writes.
+
+    is_header must accept the first line, else ValueError(header_error); its
+    cell count fixes every row's. A leading byte-order mark is dropped and
+    blank lines are skipped. A label is the text before its row's first
+    comma; every other cell must be a finite number of dtype. A row that
+    breaks a rule raises ValueError naming its line. Each chunk is parsed
+    into one block sized from the line count, so labels are the only
+    per-row objects.
+    """
+    data = _read_utf8(source)
+    labels, values, filled, next_line = [], None, 0, 1
+    for start, end in _chunks(data):
+        text = str(memoryview(data)[start:end], "utf-8", "surrogatepass")
+        lines = text.splitlines()
+        commas = text.count(",")
+        del text
+        first, next_line = next_line, next_line + len(lines)  # chunks end at line breaks
+        if values is None:  # the first chunk starts with the header
+            if not is_header(lines[0]):
+                raise ValueError(header_error)
+            width = lines[0].count(",")
+            commas -= width
+            values = np.empty((_line_bound(data) - 1, width), dtype=dtype)
+            del lines[0]
+            first += 1
+        body = list(filter(str.strip, lines))
+        if not body:
+            continue
+        # loadtxt rejects a row with too few cells, so with this total no row
+        # has too many
+        balanced = commas == width * len(body)
+        block = _parse_cells(body, range(1, width + 1), dtype) if balanced else None
+        if block is None or not np.isfinite(block).all():
+            _raise_bad_row(lines, first, width, dtype)
+        labels += [line.partition(",")[0] for line in body]
+        values[filled:filled + len(block)] = block
+        filled += len(block)
+    if values is None:
+        raise ValueError(header_error)
+    values.resize((filled, width), refcheck=False)  # in place: no view of values exists
+    return labels, values
+
+
+def _parse_cells(lines, usecols, dtype):
+    """The usecols cells of comma-separated lines as a 2-D array, or None for a bad cell."""
+    with warnings.catch_warnings():
+        # numpy before 2 reads an integer cell "1.5" as 1, with only this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:  # numpy's C parser rounds exactly as float() does
+            return np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2,
+                              dtype=dtype)
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _raise_bad_row(lines, first, width, dtype):
+    """Raise the error of the first row among lines, numbered from first, that breaks a rule."""
+    for lineno, line in enumerate(lines, start=first):
+        if not line.strip():
+            continue
+        cells = line.split(",")[1:]
+        if len(cells) != width:
+            raise ValueError(f"line {lineno}: expected {width + 1} cells as in the header, "
+                             f"got {len(cells) + 1}")
+        for cell in cells:
+            if not cell.strip():
+                raise ValueError(f"line {lineno}: empty coordinate")
+            value = _parse_cells([cell], None, dtype)
+            if value is None:
+                raise ValueError(f"line {lineno}: could not convert string {cell!r} "
+                                 f"to {np.dtype(dtype)}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"line {lineno}: non-finite coordinate")
+
+
 def _normalize_labels(raw_labels):
     # All-integer label sets sort numerically, otherwise lexically as strings.
     try:
@@ -168,15 +246,18 @@ def _normalize_labels(raw_labels):
         return [str(t) for t in raw_labels]
 
 
+# the line breaks of str.splitlines(), in ASCII and beyond it
+_ASCII_BREAKS = "\n\v\f\r\x1c\x1d\x1e"
+_WIDE_BREAKS = "\x85\u2028\u2029"
+
 # The tokenizer works on UTF-8 bytes, so the whitespace of str.split() and
 # the line breaks of str.splitlines() outside ASCII are first mapped to
 # ASCII ones: a line break to "\x1e", which never pairs up as "\r\n" does.
 _WIDE_SPACE = str.maketrans(
-    {c: "\x1e" if c in (0x85, 0x2028, 0x2029) else " "
-     for c in (0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
-               0x205F, 0x3000)})
+    dict.fromkeys(map(chr, (0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000)), " ")
+    | dict.fromkeys(_WIDE_BREAKS, "\x1e"))
 _LINE_BREAK = np.zeros(256, dtype=bool)
-_LINE_BREAK[list(b"\n\v\f\r\x1c\x1d\x1e")] = True
+_LINE_BREAK[list(_ASCII_BREAKS.encode())] = True
 _SEPARATOR = _LINE_BREAK.copy()
 _SEPARATOR[list(b" \t\x1f,")] = True
 _MAX_DIGITS = 18  # a decimal numeral this long always fits in int64
@@ -203,7 +284,7 @@ def _read_utf8(source, ascii_blanks=False):
 # the ASCII line breaks of str.splitlines(), the only bytes a chunk may end
 # after (non-ASCII ones are "\x1e" once _WIDE_SPACE has mapped them); "\r\n"
 # is one break, so a chunk never ends between its two bytes
-_BREAK = re.compile(rb"\r\n|[\n\v\f\r\x1c\x1d\x1e]")
+_BREAK = re.compile(rb"\r\n|[" + re.escape(_ASCII_BREAKS.encode()) + rb"]")
 
 
 def _chunks(data):
@@ -218,6 +299,23 @@ def _chunks(data):
         end = found.end() if found else len(data)
         yield start, end
         start = end
+
+
+_NOT_ASCII_BREAK = bytes(sorted(set(range(256)) - set(_ASCII_BREAKS.encode())))
+
+
+def _line_bound(data):
+    """At least the number of lines str.splitlines() finds in the text of UTF-8 bytes.
+
+    Exactly that number unless the text holds "\r\n", whose two bytes are
+    counted as two breaks.
+    """
+    # translate allocates as much as it reads, so it reads 64 KB at a time
+    breaks = sum(len(data[start:start + 65536].translate(None, _NOT_ASCII_BREAK))
+                 for start in range(0, len(data), 65536))
+    if not data.isascii():
+        breaks += sum(data.count(c.encode()) for c in _WIDE_BREAKS)
+    return breaks + (not data.endswith(tuple(c.encode() for c in _ASCII_BREAKS + _WIDE_BREAKS)))
 
 
 def _run_starts(ordered):

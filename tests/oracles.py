@@ -14,6 +14,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from spherembed import EdgeListError, Graph, load_edge_list
+from spherembed.graphs import _read_utf8
 from spherembed.metrics import modularity_of_partition
 from spherembed.partition import Partition, _compact, init_centroids, vp_step, z_tilde_value
 from spherembed.plotting import MARGIN, PALETTE, PANEL
@@ -405,6 +406,44 @@ def reference_read_embedding_csv(source):
         labels.append(parts[0])
         rows.append([float(v) for v in parts[1:]])
     return labels, np.array(rows)
+
+
+# The partition CSV reader as it stood before it shared the chunked CSV row
+# reader: whole text, each row split at its last comma byte by byte. Kept
+# verbatim, bar the name, as the reference for inputs whose labels hold no
+# comma.
+
+def reference_read_cluster_ids(source, node_labels):
+    """Cluster id of each of node_labels, read from a partition CSV.
+
+    A row is a node label and an integer id, split at the row's last comma.
+    Blank rows are skipped, and a node's last row wins.
+    """
+    lines = _read_utf8(source).decode("utf-8", "surrogatepass").splitlines()
+    if not lines or lines[0] != "node_label,cluster_id":
+        raise EdgeListError("not a partition CSV: missing header")
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
+        raise EdgeListError(f"partition CSV is missing node {node_labels[0]!r}")
+    raw = np.frombuffer("\n".join(rows).encode("utf-8", "surrogatepass"), dtype=np.uint8).copy()
+    ends = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
+    commas = np.flatnonzero(raw == ord(","))
+    upto = np.searchsorted(commas, ends)  # commas before each row's end
+    if (np.diff(upto, prepend=0) == 0).any():
+        raise EdgeListError("not a partition CSV: a row has no comma")
+    raw[commas[upto - 1]] = ord("\n")  # split each row at its last comma
+    cells = raw.tobytes().decode("utf-8", "surrogatepass").split("\n")
+    nodes = cells[0::2]
+    if not all(map(str.strip, cells[1::2])):
+        raise EdgeListError("not a partition CSV: a row has no cluster id")
+    ids = np.loadtxt(cells[1::2], dtype=np.int64, comments=None, ndmin=1)
+    if nodes == node_labels and len(set(nodes)) == len(nodes):
+        return ids  # rows in node order, each node once: the writer's layout
+    row_of = dict(zip(nodes, range(len(nodes))))
+    try:
+        return ids[[row_of[lab] for lab in node_labels]]
+    except KeyError as exc:
+        raise EdgeListError(f"partition CSV is missing node {exc.args[0]!r}") from None
 
 
 # The four CSV writers as each formatted its own rows before they shared

@@ -3,13 +3,16 @@
 import ctypes
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import BARBELL_EDGES
-from spherembed import PlantedPartitionSpec, cli, generate_planted_partition, write_edge_list
+from oracles import reference_read_cluster_ids
+from spherembed import (PlantedPartitionSpec, cli, generate_planted_partition, graphs,
+                        write_edge_list)
 
 EMBED_FILES = ["embedding.csv", "spectrum.csv", "trace.csv", "summary.json"]
 PIPELINE_FILES = EMBED_FILES + ["partition.csv", "run_log.json"]
@@ -312,8 +315,8 @@ def test_plot_partition_missing_node_exits_2(tmp_path, barbell_file, capsys):
 
 def test_partition_csv_rows_in_any_order():
     # rows shuffled, padded by blank and extra rows; a node's last row wins
-    text = "node_label,cluster_id\r\nb,1\r\n\r\nz,7\r\na,0\r\nb,2\r\n  \r\nx,y,3\r\n"
-    ids = cli._read_cluster_ids(io.StringIO(text), ["a", "b", "x,y"])
+    text = "node_label,cluster_id\r\nb,1\r\n\r\nz,7\r\na,0\r\nb,2\r\n  \r\nx y,3\r\n"
+    ids = cli._read_cluster_ids(io.StringIO(text), ["a", "b", "x y"])
     assert list(ids) == [0, 2, 3]
     assert list(cli._read_cluster_ids(io.StringIO("node_label,cluster_id\na,4\nb,-1\n"),
                                       ["a", "b"])) == [4, -1]
@@ -321,9 +324,68 @@ def test_partition_csv_rows_in_any_order():
                                       ["\xe9"])) == [5]
     for bad in ("node_label,cluster\na,1\n", "", "node_label,cluster_id\n",
                 "node_label,cluster_id\na\n", "node_label,cluster_id\na,\n",
-                "node_label,cluster_id\na, \n", "node_label,cluster_id\na,x\n"):
+                "node_label,cluster_id\na, \n", "node_label,cluster_id\na,x\n",
+                "node_label,cluster_id\nx,y,3\n"):
         with pytest.raises(ValueError):
             cli._read_cluster_ids(io.StringIO(bad), ["a"])
+
+
+def _partition_csv_variants(rng, labels):
+    """Partition CSVs for labels: writer layout, then rows shuffled and padded."""
+    ids = rng.integers(-3, 40, size=len(labels)).tolist()
+    rows = [f"{lab},{i}" for lab, i in zip(labels, ids)]
+    yield "node_label,cluster_id\n" + "".join(row + "\n" for row in rows)
+    rows += [f"{labels[0]},{ids[0] + 1}", "extra,5", "other node,-2"]  # a node twice, extra nodes
+    rows += ["", "  ", "\t"]
+    for _ in range(3):
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        text = "node_label,cluster_id\n" + "\n".join(rows) + "\n"
+        yield from (text, text.replace("\n", "\r\n"), "\ufeff" + text)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 9, 40, graphs.CHUNK_BYTES])
+def test_partition_reader_matches_reference(rng, chunk_bytes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    for n in (1, 2, 7, 30):
+        labels = [str(i) if i % 3 else f"n #{i}\xe9" for i in range(n)]
+        for text in _partition_csv_variants(rng, labels):
+            for source in (io.StringIO(text), io.BytesIO(text.encode())):
+                want = reference_read_cluster_ids(io.StringIO(text), labels)
+                got = cli._read_cluster_ids(source, labels)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+PARTITION_ERRORS = [
+    ("node_label,cluster_id\na,1\nb\n", "line 3: expected 2 cells as in the header, got 1"),
+    ("node_label,cluster_id\na,\n", "line 2: empty coordinate"),
+    ("node_label,cluster_id\na,x\n", "line 2: could not convert string 'x' to int64"),
+    ("node_label,cluster_id\na,1.5\n", "line 2: could not convert string '1.5' to int64"),
+    ("node_label,cluster_id\na,1,2\n", "line 2: expected 2 cells as in the header, got 3"),
+    ("node_label,cluster_id\n" + "a,1\n\n\n" * 4 + "b,x\n",
+     "line 14: could not convert string 'x' to int64"),
+]
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 9, 40, graphs.CHUNK_BYTES])
+@pytest.mark.parametrize("text, message", PARTITION_ERRORS)
+def test_partition_reader_names_the_bad_line(text, message, chunk_bytes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cli._read_cluster_ids(io.StringIO(text), ["a", "b"])
+
+
+def test_plot_partition_bad_row_exits_2(tmp_path, barbell_file, capsys):
+    out = tmp_path / "out"
+    cli.main(["partition", "--input", barbell_file, "--pipeline",
+              "--d0", "6", "--k", "4", "--output-dir", str(out)])
+    lines = (out / "partition.csv").read_text().splitlines()
+    lines[3] = lines[3].partition(",")[0] + ",x"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["plot", "--embedding", str(out / "embedding.csv"),
+                     "--partition", str(bad), "--output", str(tmp_path / "x.svg")]) == 2
+    assert "line 4: could not convert string 'x' to int64" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_non_finite_embedding_exits_2_without_outputs(tmp_path, barbell_file):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import reference_read_embedding_csv
-from spherembed import (EmbeddingResult, Graph, effective_dimension, embedding, graphs,
-                        svd_embedding, truncate_embedding)
+from spherembed import (EmbeddingResult, Graph, effective_dimension, graphs, svd_embedding,
+                        truncate_embedding)
 from spherembed.embedding import (read_embedding_csv, write_embedding_csv,
                                   write_spectrum_csv)
 from spherembed.solver import project_rows
@@ -203,7 +203,6 @@ def test_reader_across_chunk_boundaries(newline, chunk_bytes, monkeypatch):
     for variant in (text, "\ufeff" + text, text.rstrip(newline)):
         for source in (io.StringIO(variant), io.BytesIO(variant.encode())):
             labels, rows = read_embedding_csv(source)
-            assert embedding._read_chunks(variant.removeprefix("\ufeff").encode()) is not None
             want_labels, want = reference_read_embedding_csv(
                 io.StringIO(variant.removeprefix("\ufeff")))
             assert labels == want_labels == ["a b", "#c", "d\xe9"]
@@ -215,7 +214,7 @@ def test_reader_across_chunk_boundaries(newline, chunk_bytes, monkeypatch):
     ("z,1.0", "line 10: expected 3 cells as in the header, got 2"),
     ("z,1.0,2.0,3.0", "line 10: expected 3 cells as in the header, got 4"),
     ("z,1.0,inf", "line 10: non-finite coordinate"),
-    ("z,1.0,x", "could not convert string 'x' to float64 at row 4, column 2."),
+    ("z,1.0,x", "line 10: could not convert string 'x' to float64"),
 ])
 def test_reader_errors_in_the_last_chunk_name_their_line(last, message, chunk_bytes,
                                                          monkeypatch):
@@ -230,6 +229,14 @@ def test_reader_errors_in_the_last_chunk_name_their_line(last, message, chunk_by
     balanced = "node,coord_1,coord_2\n" + "a,0.5,1.5\n" * 4 + "y\nz,1.0,2.0,3.0,4.0\n"
     with pytest.raises(ValueError, match="^line 6: expected 3 cells as in the header, got 1$"):
         read_embedding_csv(io.StringIO(balanced))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 9, 40])
+def test_reader_names_the_line_of_a_non_number_in_a_middle_chunk(chunk_bytes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    text = "node,coord_1,coord_2\n" + "a,0.5,1.5\n\n" * 4 + "m,1.0,x\n" + "b,0.5,1.5\n" * 6
+    with pytest.raises(ValueError, match="^line 10: could not convert string 'x' to float64$"):
+        read_embedding_csv(io.StringIO(text))
 
 
 def test_reader_peak_memory_is_bounded_by_its_result(tmp_path):
