@@ -24,29 +24,52 @@ import numpy as np
 from scipy import sparse
 
 
+def _check_block(X, n):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise ValueError(f"block has shape {X.shape}, expected ({n}, d)")
+    return X
+
+
 class DescriptorOperator:
-    """Matrix-free descriptor M = W - u u^T; build it with make_descriptor."""
+    """Matrix-free descriptor M = W - u u^T; build it with make_descriptor.
+
+    Only s and u are kept. W = S A S is formed from the adjacency when it is
+    needed: by apply, and once by ShiftedOperator, whose matrix replaces it.
+    """
 
     def __init__(self, graph, kind, s, u):
         self.graph = graph
         self.kind = kind
-        adj = graph.adjacency
-        # W shares the adjacency's index arrays; only its values s_i s_k are new
-        data = np.repeat(s, np.diff(adj.indptr))
-        data *= s[adj.indices]
-        self._W = sparse.csr_matrix((data, adj.indices, adj.indptr), shape=adj.shape,
-                                    copy=False)
+        self._s = s
         self._u = u
 
     @property
     def n(self):
         return self.graph.n
 
+    def _edge_products(self, v):
+        """v_i v_k for every stored entry (i, k) of the adjacency, in CSR order."""
+        adj = self.graph.adjacency
+        out = np.repeat(v, np.diff(adj.indptr))
+        out *= v[adj.indices]
+        return out
+
+    def _weights(self, plus=None):
+        """W = S A S as a CSR matrix, or W + plus for a CSR plus of n rows.
+
+        W's values are s_i s_k on the adjacency's index arrays, which it
+        shares; W is widened to plus's column count, so plus may add columns.
+        """
+        adj = self.graph.adjacency
+        shape = adj.shape if plus is None else plus.shape
+        W = sparse.csr_matrix((self._edge_products(self._s), adj.indices, adj.indptr),
+                              shape=shape, copy=False)
+        return W if plus is None else W + plus
+
     def apply(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] != self.n:
-            raise ValueError(f"block has shape {X.shape}, expected ({self.n}, d)")
-        Y = self._W @ X
+        X = _check_block(X, self.n)
+        Y = self._weights() @ X
         Y -= np.outer(self._u, self._u @ X)
         return Y
 
@@ -56,19 +79,18 @@ class DescriptorOperator:
     def offdiagonal_abs_sums(self):
         """sum_{k != i} |M_ik| per row, in O(deg(i)) per row.
 
-        Neighbour entries are |W_ik - u_i u_k|; the non-neighbour entries
+        Neighbour entries are |s_i s_k - u_i u_k|; the non-neighbour entries
         are all -u_i u_k, so their absolute values sum to
         u_i (sum_k u_k - u_i - sum_{k in N(i)} u_k).
         """
-        W, u = self._W, self._u
-        entries = np.repeat(u, np.diff(W.indptr))
-        entries *= u[W.indices]
-        np.subtract(W.data, entries, out=entries)
+        adj, u = self.graph.adjacency, self._u
+        entries = self._edge_products(self._s)
+        np.subtract(entries, self._edge_products(u), out=entries)
         np.abs(entries, out=entries)
-        # row sums through W's own pattern need no 2m-long row index array
-        neighbour_abs = sparse.csr_matrix((entries, W.indices, W.indptr), shape=W.shape,
+        # row sums through the adjacency's pattern need no 2m-long row index array
+        neighbour_abs = sparse.csr_matrix((entries, adj.indices, adj.indptr), shape=adj.shape,
                                           copy=False)
-        nonadj_part = u * (u.sum() - u - self.graph.adjacency @ u)
+        nonadj_part = u * (u.sum() - u - adj @ u)
         return neighbour_abs @ np.ones(self.n) + nonadj_part
 
 
@@ -99,6 +121,12 @@ class ShiftedOperator:
 
     K_ij = M_ij for i != j and K_ii = v_i = 1 + eps + sum_{k != i} |M_ik|,
     so K_ii - sum_{k != i} |K_ik| = 1 + eps > 0 for every row.
+
+    K = W + diag(v - diag M) - u u^T is kept as one n x (n + 1) CSR matrix
+    [W + diag(v - diag M), -u]: the diagonal folded into W's rows and the
+    rank-one term as a last column, which multiplies an extra block row
+    u^T X. Its 2m + 2n entries are the only weighted copy of the adjacency's
+    pattern the operator keeps.
     """
 
     def __init__(self, base, epsilon=0.0):
@@ -107,19 +135,34 @@ class ShiftedOperator:
         self.base = base
         self.epsilon = float(epsilon)
         self.shift = diagonal_shift_vector(base, epsilon)
-        # applying M then correcting the diagonal in place implements the
-        # replacement K = M - diag(M) + diag(v)
-        self._diag_delta = self.shift - base.diagonal()
+        n, index = base.n, base.graph.adjacency.indices.dtype
+        # row i of the addend holds (i, i, v_i - M_ii) and (i, n, -u_i)
+        plus = sparse.csr_matrix(
+            (np.column_stack([self.shift - base.diagonal(), -base._u]).ravel(),
+             np.column_stack([np.arange(n, dtype=index), np.full(n, n, dtype=index)]).ravel(),
+             np.arange(0, 2 * n + 1, 2, dtype=index)), shape=(n, n + 1))
+        self._K = base._weights(plus)
+        self._u = base._u
 
     @property
     def n(self):
         return self.base.n
 
     def apply(self, X):
-        X = np.asarray(X, dtype=float)
-        Y = self.base.apply(X)
-        Y += self._diag_delta[:, None] * X
-        return Y
+        """K X for an n x d block, in one sparse pass.
+
+        The block gets the extra row u^T X, so the product applies W, the
+        shifted diagonal and the rank-one term together: O((n + m) d) for
+        the product plus one O(n d) copy of X. The result is a new array.
+        """
+        return self._product(_check_block(X, self.n))
+
+    def _product(self, X):
+        """apply for a block already known to be an n x d float array."""
+        extended = np.empty((self.n + 1, X.shape[1]))
+        extended[:-1] = X
+        np.dot(self._u, X, out=extended[-1])
+        return self._K @ extended
 
     def sample_columns(self, count, rng):
         """Materialize `count` uniformly sampled columns of K, without replacement."""
@@ -129,6 +172,7 @@ class ShiftedOperator:
         idx = rng.choice(n, size=count, replace=False)
         E = np.zeros((n, count))
         E[idx, np.arange(count)] = 1.0
-        C = self.base.apply(E)
+        C = self._product(E)
+        # K's diagonal went through v_i + u_i^2 - u_i^2; set it to v_i exactly
         C[idx, np.arange(count)] = self.shift[idx]
         return C

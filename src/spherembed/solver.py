@@ -10,6 +10,7 @@ Randomness comes from numpy's default_rng (PCG64) seeded by the config, so
 runs are reproducible across platforms.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,17 +60,23 @@ class SolveResult:
     delta_trace: np.ndarray = None
 
 
-def project_rows(X, norms=None):
+def _row_norms(X):
+    """2-norm of every row of X, in one pass over X."""
+    return np.sqrt(np.einsum("ij,ij->i", X, X))
+
+
+def project_rows(X, norms=None, out=None):
     """Normalize each row to unit 2-norm; zero rows are an error.
 
-    norms, when given, are the row norms of X, already computed.
+    norms, when given, are the row norms of X, already computed. out, when
+    given, is the array the rows are written to; it may be X itself.
     """
     X = np.asarray(X, dtype=float)
     if norms is None:
-        norms = np.linalg.norm(X, axis=1)
+        norms = _row_norms(X)
     if (norms == 0.0).any():
         raise ValueError("cannot project a zero row onto the sphere")
-    return X / norms[:, None]
+    return np.divide(X, norms[:, None], out=out)
 
 
 def objective(k, x):
@@ -80,13 +87,26 @@ def objective(k, x):
 def first_order_criterion(k, x):
     """Delta(x) = sum_i ||(Kx)_i|| - Tr(x^T K x); zero exactly at fixed points of x -> P(Kx)."""
     y = k.apply(x)
-    return float(np.sum(np.linalg.norm(y, axis=1)) - np.vdot(x, y))
+    return float(np.sum(_row_norms(y)) - np.vdot(x, y))
 
 
 def _initial_point(k, cfg, rng, x0):
     if x0 is not None:
         return np.array(x0, dtype=float, copy=True)
     return project_rows(k.sample_columns(cfg.d0, rng))
+
+
+def _finite_objective(x, y, update):
+    """Tr(x^T y), or FloatingPointError if it is not finite.
+
+    A NaN or infinite entry anywhere in y = K x makes the sum non-finite, so
+    one test per update catches it before the iterates are lost.
+    """
+    f = float(np.vdot(x, y))
+    if not math.isfinite(f):
+        raise FloatingPointError(f"objective is {f} at update {update}: "
+                                 "K x has non-finite entries")
+    return f
 
 
 def solve(k, cfg, rng=None, x0=None):
@@ -102,22 +122,31 @@ def solve(k, cfg, rng=None, x0=None):
     stopping test reads, the surrogate Tr((K x_{j-1})^T x_j) for main and
     the objective for the plain and appendix methods.
 
+    Beyond the apply, an update makes a few dense O(n d0) passes: z_j (with
+    momentum), the row norms, the projection and one inner product, plus
+    the step norm and the next row norms for the plain method. No pass
+    allocates: the plain method projects K x_{j-1} in place, so k.apply
+    must return a new array, and momentum builds z_j in a spare buffer
+    that swaps roles with the iterate every update.
+
     Stops once the relative change of that series drops below cfg.tol
     (tested from the second update on) or after cfg.max_iter updates, in
     which case the result is flagged not converged. iterations counts
-    updates and trace[0] = f(x0), so len(trace) == iterations + 1.
+    updates and trace[0] = f(x0), so len(trace) == iterations + 1. Raises
+    FloatingPointError at the first update whose K x is not finite.
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     x = _initial_point(k, cfg, rng, x0)
     plain = not cfg.momentum
     surrogate = cfg.momentum and cfg.momentum_variant == "main"
     y = y_prev = k.apply(x)
-    f = float(np.vdot(x, y))
+    f = _finite_objective(x, y, 0)
     trace = [f]
     # the plain method reuses the row norms of Kx for the next projection
-    y_norms = np.linalg.norm(y, axis=1) if plain else None
+    y_norms = _row_norms(y) if plain else None
     deltas = [float(np.sum(y_norms) - f)] if plain else None
     steps = []
+    spare = None if plain else np.empty_like(x)  # receives z_j; x_{j-1} is spare next
     j = 0
     converged = False
     while j < cfg.max_iter:
@@ -125,31 +154,34 @@ def solve(k, cfg, rng=None, x0=None):
         r = 0.0 if plain else (j - 1) / (j + 2)
         z, norms = y, y_norms
         if r > 0:
-            z = y + r * (y - y_prev)
-            norms = np.linalg.norm(z, axis=1)
+            z = np.subtract(y, y_prev, out=spare)
+            z *= r
+            z += y
+            norms = _row_norms(z)
             # extrapolation can in principle produce a zero row; fall back
             # to the non-extrapolated power-iteration row there
             bad = norms == 0.0
             if bad.any():
                 z[bad] = y[bad]
                 norms = None
-        x_new = project_rows(z, norms)
+        x_new = project_rows(z, norms, out=y if plain else spare)
         if plain:
-            steps.append(float(np.sum((x_new - x) ** 2)))
+            step = np.subtract(x_new, x, out=x)  # x_{j-1} is not needed after this
+            steps.append(float(np.vdot(step, step)))
         if surrogate:
             trace.append(float(np.vdot(y, x_new)))
-        x, y_prev = x_new, y
+        x, spare, y_prev = x_new, x, y
         y = k.apply(x)
-        f = float(np.vdot(x, y))
+        f = _finite_objective(x, y, j)
         if plain:
-            y_norms = np.linalg.norm(y, axis=1)
+            y_norms = _row_norms(y)
             deltas.append(float(np.sum(y_norms) - f))
         if not surrogate:
             trace.append(f)
         if j >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
             converged = True
             break
-    delta = float(np.sum(np.linalg.norm(y, axis=1)) - f)
+    delta = float(np.sum(_row_norms(y) if y_norms is None else y_norms) - f)
     return SolveResult(x=x, objective=f, delta=delta,
                        trace=np.array(trace), iterations=j, converged=converged,
                        method="gpm" if plain else f"gpmm-{cfg.momentum_variant}",

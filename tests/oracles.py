@@ -16,8 +16,10 @@ from scipy.sparse import csgraph
 from spherembed import EdgeListError, Graph, load_edge_list
 from spherembed.graphs import _read_utf8
 from spherembed.metrics import modularity_of_partition
+from spherembed.operators import diagonal_shift_vector
 from spherembed.partition import Partition, _compact, init_centroids, vp_step, z_tilde_value
 from spherembed.plotting import MARGIN, PALETTE, PANEL
+from spherembed.solver import SolveResult
 
 
 def make_graph(edges):
@@ -644,3 +646,135 @@ class ReferenceLaplacianDescriptorOperator:
 
 REFERENCE_DESCRIPTORS = {"modularity": ReferenceModularityOperator,
                          "normlap": ReferenceLaplacianDescriptorOperator}
+
+
+# The shifted operator, row projection and solver loop as they stood before K
+# became one CSR matrix with its diagonal folded in and the loop began
+# reusing its buffers. Kept verbatim, bar the names, as the references the
+# one-sparse-pass update must match to rounding.
+
+class ReferenceShiftedOperator:
+    """The iteration matrix K: off-diagonal of M with diagonal replaced by v.
+
+    K_ij = M_ij for i != j and K_ii = v_i = 1 + eps + sum_{k != i} |M_ik|,
+    so K_ii - sum_{k != i} |K_ik| = 1 + eps > 0 for every row.
+    """
+
+    def __init__(self, base, epsilon=0.0):
+        if epsilon < 0:
+            raise ValueError("shift epsilon must be non-negative")
+        self.base = base
+        self.epsilon = float(epsilon)
+        self.shift = diagonal_shift_vector(base, epsilon)
+        # applying M then correcting the diagonal in place implements the
+        # replacement K = M - diag(M) + diag(v)
+        self._diag_delta = self.shift - base.diagonal()
+
+    @property
+    def n(self):
+        return self.base.n
+
+    def apply(self, X):
+        X = np.asarray(X, dtype=float)
+        Y = self.base.apply(X)
+        Y += self._diag_delta[:, None] * X
+        return Y
+
+    def sample_columns(self, count, rng):
+        """Materialize `count` uniformly sampled columns of K, without replacement."""
+        n = self.n
+        if not 1 <= count <= n:
+            raise ValueError(f"need 1 <= count <= {n}, got {count}")
+        idx = rng.choice(n, size=count, replace=False)
+        E = np.zeros((n, count))
+        E[idx, np.arange(count)] = 1.0
+        C = self.base.apply(E)
+        C[idx, np.arange(count)] = self.shift[idx]
+        return C
+
+
+def reference_project_rows(X, norms=None):
+    """Normalize each row to unit 2-norm; zero rows are an error.
+
+    norms, when given, are the row norms of X, already computed.
+    """
+    X = np.asarray(X, dtype=float)
+    if norms is None:
+        norms = np.linalg.norm(X, axis=1)
+    if (norms == 0.0).any():
+        raise ValueError("cannot project a zero row onto the sphere")
+    return X / norms[:, None]
+
+
+def _reference_initial_point(k, cfg, rng, x0):
+    if x0 is not None:
+        return np.array(x0, dtype=float, copy=True)
+    return reference_project_rows(k.sample_columns(cfg.d0, rng))
+
+
+def reference_solve(k, cfg, rng=None, x0=None):
+    """Projected power iteration x_j = P(z_j), maximizing Tr(x^T K x).
+
+    Update j extrapolates the cached K images,
+    z_j = K x_{j-1} + r_j (K x_{j-1} - K x_{j-2}), so it costs one apply.
+    The plain method (cfg.momentum False) has r_j = 0 and increases the
+    objective by more than the squared step norm; momentum uses
+    r_j = (j-1)/(j+2) and is not guaranteed monotone. K is linear, so z_j
+    is also K(x_{j-1} + r_j (x_{j-1} - x_{j-2})): the "main" and "appendix"
+    variants share their iterates and differ only in the series the
+    stopping test reads, the surrogate Tr((K x_{j-1})^T x_j) for main and
+    the objective for the plain and appendix methods.
+
+    Stops once the relative change of that series drops below cfg.tol
+    (tested from the second update on) or after cfg.max_iter updates, in
+    which case the result is flagged not converged. iterations counts
+    updates and trace[0] = f(x0), so len(trace) == iterations + 1.
+    """
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    x = _reference_initial_point(k, cfg, rng, x0)
+    plain = not cfg.momentum
+    surrogate = cfg.momentum and cfg.momentum_variant == "main"
+    y = y_prev = k.apply(x)
+    f = float(np.vdot(x, y))
+    trace = [f]
+    # the plain method reuses the row norms of Kx for the next projection
+    y_norms = np.linalg.norm(y, axis=1) if plain else None
+    deltas = [float(np.sum(y_norms) - f)] if plain else None
+    steps = []
+    j = 0
+    converged = False
+    while j < cfg.max_iter:
+        j += 1
+        r = 0.0 if plain else (j - 1) / (j + 2)
+        z, norms = y, y_norms
+        if r > 0:
+            z = y + r * (y - y_prev)
+            norms = np.linalg.norm(z, axis=1)
+            # extrapolation can in principle produce a zero row; fall back
+            # to the non-extrapolated power-iteration row there
+            bad = norms == 0.0
+            if bad.any():
+                z[bad] = y[bad]
+                norms = None
+        x_new = reference_project_rows(z, norms)
+        if plain:
+            steps.append(float(np.sum((x_new - x) ** 2)))
+        if surrogate:
+            trace.append(float(np.vdot(y, x_new)))
+        x, y_prev = x_new, y
+        y = k.apply(x)
+        f = float(np.vdot(x, y))
+        if plain:
+            y_norms = np.linalg.norm(y, axis=1)
+            deltas.append(float(np.sum(y_norms) - f))
+        if not surrogate:
+            trace.append(f)
+        if j >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
+            converged = True
+            break
+    delta = float(np.sum(np.linalg.norm(y, axis=1)) - f)
+    return SolveResult(x=x, objective=f, delta=delta,
+                       trace=np.array(trace), iterations=j, converged=converged,
+                       method="gpm" if plain else f"gpmm-{cfg.momentum_variant}",
+                       step_norms_sq=np.array(steps) if plain else None,
+                       delta_trace=np.array(deltas) if plain else None)

@@ -12,7 +12,7 @@ import pytest
 from conftest import BARBELL_EDGES
 from oracles import reference_read_cluster_ids
 from spherembed import (PlantedPartitionSpec, cli, generate_planted_partition, graphs,
-                        write_edge_list)
+                        make_descriptor, pipeline, write_edge_list)
 
 EMBED_FILES = ["embedding.csv", "spectrum.csv", "trace.csv", "summary.json"]
 PIPELINE_FILES = EMBED_FILES + ["partition.csv", "run_log.json"]
@@ -110,6 +110,21 @@ def test_numerical_failure_exits_1(tmp_path, k3_file, monkeypatch):
     monkeypatch.setattr(cli, "run_embedding", boom)
     rc = cli.main(["embed", "--input", k3_file, "--output-dir", str(tmp_path / "o")])
     assert rc == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_nonfinite_solve_exits_1_at_first_update(tmp_path, barbell_file, monkeypatch, capsys):
+    """A NaN in the descriptor stops the solver at once: exit 1, not 2 after max_iter."""
+    def nan_descriptor(graph, kind):
+        op = make_descriptor(graph, kind)
+        op._u = np.full(graph.n, np.nan)
+        return op
+
+    monkeypatch.setattr(pipeline, "make_descriptor", nan_descriptor)
+    rc = cli.main(["partition", "--pipeline", "--input", barbell_file,
+                   "--output-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert "numerical failure: objective is nan at update 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

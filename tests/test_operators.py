@@ -1,12 +1,14 @@
 """Matrix-free descriptor operators against dense references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import (REFERENCE_DESCRIPTORS, dense_adjacency, dense_laplacian_descriptor,
-                     dense_modularity_matrix, dense_shifted, make_graph,
-                     random_connected_graph)
+from oracles import (REFERENCE_DESCRIPTORS, ReferenceShiftedOperator, dense_adjacency,
+                     dense_laplacian_descriptor, dense_modularity_matrix, dense_shifted,
+                     make_graph, random_connected_graph)
 from spherembed import (Graph, PlantedPartitionSpec, ShiftedOperator,
                         generate_planted_partition, make_descriptor)
 from spherembed.operators import diagonal_shift_vector
@@ -176,3 +178,39 @@ def test_matches_reference_operators_on_planted_graph(kind):
     np.testing.assert_allclose(op.diagonal(), ref.diagonal(), rtol=1e-13, atol=0)
     np.testing.assert_allclose(op.offdiagonal_abs_sums(), ref.offdiagonal_abs_sums(),
                                rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
+def test_shifted_matches_reference_shifted_on_planted_graph(kind):
+    """The folded K against the former shift over the two former classes."""
+    spec = PlantedPartitionSpec(n=2000, k=10, p_in=12 / 199, p_out=3 / 1800, seed=5)
+    g, _ = generate_planted_partition(spec)
+    op = ShiftedOperator(make_descriptor(g, kind))
+    ref = ReferenceShiftedOperator(REFERENCE_DESCRIPTORS[kind](g))
+    np.testing.assert_allclose(op.shift, ref.shift, rtol=1e-12, atol=0)
+    X = np.random.default_rng(1).standard_normal((g.n, 10))
+    expected = ref.apply(X)
+    np.testing.assert_allclose(op.apply(X), expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+    expected = ref.sample_columns(6, np.random.default_rng(3))
+    np.testing.assert_allclose(op.sample_columns(6, np.random.default_rng(3)), expected,
+                               rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
+def test_shifted_operator_keeps_one_weighted_matrix(kind):
+    """At n = 100 000 the operator keeps K's 2m + 2n entries and three n-vectors.
+
+    That is 23.2 MB on this graph; a second weighted copy of the
+    adjacency's pattern beside K would add 12 MB or more.
+    """
+    spec = PlantedPartitionSpec(n=100_000, k=10, p_in=12 / 9_999, p_out=3 / 90_000, seed=1)
+    g, _ = generate_planted_partition(spec)
+    tracemalloc.start()
+    try:
+        op = ShiftedOperator(make_descriptor(g, kind))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert op._K.nnz == 2 * g.m + 2 * g.n
+    assert kept <= 24e6, f"operator keeps {kept / 1e6:.1f} MB"

@@ -1,13 +1,16 @@
 """Projected power iteration: monotonicity, stopping, criticality, momentum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import (dense_adjacency, dense_criterion, dense_modularity_matrix,
-                     dense_objective, dense_shifted, random_connected_graph)
-from spherembed import (ShiftedOperator, SolverConfig,
-                        first_order_criterion, make_descriptor, objective,
-                        project_rows, solve)
+from oracles import (REFERENCE_DESCRIPTORS, ReferenceShiftedOperator, dense_adjacency,
+                     dense_criterion, dense_modularity_matrix, dense_objective, dense_shifted,
+                     random_connected_graph, reference_solve)
+from spherembed import (PlantedPartitionSpec, ShiftedOperator, SolverConfig,
+                        first_order_criterion, generate_planted_partition, make_descriptor,
+                        objective, project_rows, solve)
 from spherembed.solver import write_trace_csv
 
 
@@ -139,9 +142,12 @@ class CountingOperator:
         return self.op.sample_columns(d, rng)
 
 
-@pytest.mark.parametrize("method", [dict(momentum=False),
-                                    dict(momentum=True, momentum_variant="main"),
-                                    dict(momentum=True, momentum_variant="appendix")])
+METHODS = [dict(momentum=False), dict(momentum=True, momentum_variant="main"),
+           dict(momentum=True, momentum_variant="appendix")]
+METHOD_IDS = ["gpm", "gpmm-main", "gpmm-appendix"]
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_one_apply_per_update_and_trace_per_update(rng, method):
     g = random_connected_graph(rng, 30, extra_edges=40)
     for max_iter in (1, 2, 5, 10000):
@@ -152,6 +158,63 @@ def test_one_apply_per_update_and_trace_per_update(rng, method):
         assert op.applies == res.iterations + 1
         x0 = project_rows(op.op.sample_columns(5, np.random.default_rng(4)))
         assert res.trace[0] == pytest.approx(objective(op.op, x0), abs=1e-12)
+
+
+@pytest.mark.parametrize("method", METHODS, ids=METHOD_IDS)
+def test_nonfinite_iterate_fails_fast(rng, method):
+    """A NaN in K x raises at once instead of running on to max_iter."""
+    g = random_connected_graph(rng, 30, extra_edges=40)
+    op = shifted_op(g)
+    x0 = project_rows(op.sample_columns(5, np.random.default_rng(4)))
+    op._u = op._u.copy()
+    op._u[3] = np.nan
+    counting = CountingOperator(op)
+    with pytest.raises(FloatingPointError, match=r"at update [01]:"):
+        solve(counting, SolverConfig(d0=5, max_iter=10000, **method), x0=x0)
+    assert counting.applies <= 2
+
+
+@pytest.mark.parametrize("method", METHODS, ids=METHOD_IDS)
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
+def test_matches_reference_solver_on_planted_graph(kind, method):
+    """300 updates on the folded K track the former operator and loop to rounding."""
+    spec = PlantedPartitionSpec(n=2000, k=10, p_in=12 / 199, p_out=3 / 1800, seed=5)
+    g, _ = generate_planted_partition(spec)
+    cfg = SolverConfig(d0=10, tol=1e-300, max_iter=300, seed=3, **method)
+    res = solve(ShiftedOperator(make_descriptor(g, kind)), cfg)
+    ref = reference_solve(ReferenceShiftedOperator(REFERENCE_DESCRIPTORS[kind](g)), cfg)
+    assert (res.iterations, res.method) == (ref.iterations, ref.method)
+    np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(res.trace, ref.trace, rtol=0,
+                               atol=1e-11 * np.abs(ref.trace).max())
+    if method["momentum"]:
+        assert res.step_norms_sq is None and res.delta_trace is None
+        return
+    np.testing.assert_allclose(res.step_norms_sq, ref.step_norms_sq, rtol=0,
+                               atol=1e-11 * ref.step_norms_sq.max())
+    # delta is sum_i ||y_i|| - f, a difference of two sums of size ~n, so
+    # its rounding is on f's scale
+    np.testing.assert_allclose(res.delta_trace, ref.delta_trace, rtol=0,
+                               atol=1e-14 * ref.objective)
+
+
+@pytest.mark.parametrize("momentum", [False, True], ids=["gpm", "gpmm"])
+def test_solve_peak_memory_within_reference(momentum):
+    """On the same operator, the buffer-reusing loop peaks no higher than the former one."""
+    spec = PlantedPartitionSpec(n=20_000, k=10, p_in=12 / 1_999, p_out=3 / 18_000, seed=1)
+    g, _ = generate_planted_partition(spec)
+    op = shifted_op(g)
+    x0 = project_rows(op.sample_columns(10, np.random.default_rng(1)))
+    cfg = SolverConfig(d0=10, tol=1e-300, max_iter=50, momentum=momentum)
+    peaks = []
+    for run in (solve, reference_solve):
+        tracemalloc.start()
+        try:
+            run(op, cfg, x0=x0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], f"solve peaked at {peaks[0]} B, the reference at {peaks[1]} B"
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 7])
