@@ -76,27 +76,33 @@ class Graph:
     def _from_keys(cls, n, keys, labels):
         """Graph on n nodes from the sorted, distinct keys i * n + j, i < j, of its edges.
 
-        The symmetric CSR is built directly: row i lists its neighbours
-        below i, the edges (h, i), which one sort of the flipped keys
-        i * n + h puts in row order, and then those above it, the edges
-        (i, j), which key order already lists row by row.
+        The symmetric CSR is built directly. Its entries in row order are
+        the keys of both orientations in sorted order: the keys as given,
+        and the flipped keys j * n + i, which one sort puts in order. The
+        stable sort of the two sorted runs side by side merges them, and the
+        remainders mod n are the column indices. Only floor division by n
+        is used, which numpy vectorizes for a scalar divisor; % and divmod
+        by n take several times as long.
         """
         m = len(keys)
         index = np.int32 if max(n, 2 * m) < 2**31 else np.int64
-        rows, cols = np.divmod(keys, n)
-        above = np.bincount(rows, minlength=n)
-        below = np.bincount(cols, minlength=n)
-        degrees = above + below
+        rows = keys // n
+        cols = rows * n
+        np.subtract(keys, cols, out=cols)
+        degrees = np.bincount(rows, minlength=n)
+        degrees += np.bincount(cols, minlength=n)
         indptr = np.zeros(n + 1, dtype=index)
         np.cumsum(degrees, out=indptr[1:])
-        flipped = cols * n + rows
-        del rows
-        flipped.sort()
-        lower = np.repeat(np.tile([True, False], n), np.column_stack([below, above]).ravel())
-        indices = np.empty(2 * m, dtype=index)
-        indices[~lower] = cols
-        del cols
-        indices[lower] = flipped % n
+        both = np.empty(2 * m, dtype=np.int64)
+        np.multiply(cols, n, out=both[m:])
+        both[m:] += rows
+        del rows, cols
+        both[m:].sort()
+        both[:m] = keys
+        both.sort(kind="stable")  # merges the two sorted runs
+        both -= both // n * n
+        indices = both.astype(index)
+        del both
         adj = sparse.csr_matrix((np.ones(2 * m), indices, indptr), shape=(n, n))
         adj.has_canonical_format = True
         return cls(adjacency=adj, degrees=degrees, node_labels=tuple(labels))
@@ -504,18 +510,26 @@ def largest_connected_component(g):
 
     Ties between equal-size components go to the one containing the
     smallest original label. Idempotent on connected graphs.
+
+    One breadth-first search from node 0 settles most graphs. If it reaches
+    r >= n / 2 nodes, no other component has more than n - r <= r, and
+    node 0 carries the smallest label, so it also wins a tie. Only when it
+    reaches fewer does the search over all components run.
     """
-    # the adjacency is symmetric, so its strong components are its components,
-    # found without the transposed copy that an undirected search makes
-    ncomp, comp = csgraph.connected_components(g.adjacency, directed=True, connection="strong")
-    if ncomp == 1:
+    reached = csgraph.breadth_first_order(g.adjacency, 0, return_predecessors=False)
+    if len(reached) == g.n:
         return g
-    sizes = np.bincount(comp)
-    best_size = sizes.max()
-    # node indices follow sorted label order, so the smallest index in a
-    # component carries its smallest original label
-    winner = comp[np.argmax(sizes[comp] == best_size)]
-    inside = comp == winner
+    if 2 * len(reached) >= g.n:
+        inside = np.zeros(g.n, dtype=bool)
+        inside[reached] = True
+    else:
+        # the adjacency is symmetric, so its strong components are its components,
+        # found without the transposed copy that an undirected search makes
+        _, comp = csgraph.connected_components(g.adjacency, directed=True, connection="strong")
+        sizes = np.bincount(comp)
+        # node indices follow sorted label order, so the smallest index in a
+        # component carries its smallest original label
+        inside = comp == comp[np.argmax(sizes[comp] == sizes.max())]
     keep = np.flatnonzero(inside)
     new_index = np.cumsum(inside) - 1
     rows, cols = g._upper_edges()

@@ -55,16 +55,18 @@ class DescriptorOperator:
         out *= v[adj.indices]
         return out
 
-    def _weights(self, plus=None):
+    def _weights(self, plus=None, products=None):
         """W = S A S as a CSR matrix, or W + plus for a CSR plus of n rows.
 
         W's values are s_i s_k on the adjacency's index arrays, which it
         shares; W is widened to plus's column count, so plus may add columns.
+        products, if given, holds those values already.
         """
         adj = self.graph.adjacency
         shape = adj.shape if plus is None else plus.shape
-        W = sparse.csr_matrix((self._edge_products(self._s), adj.indices, adj.indptr),
-                              shape=shape, copy=False)
+        if products is None:
+            products = self._edge_products(self._s)
+        W = sparse.csr_matrix((products, adj.indices, adj.indptr), shape=shape, copy=False)
         return W if plus is None else W + plus
 
     def apply(self, X):
@@ -76,16 +78,19 @@ class DescriptorOperator:
     def diagonal(self):
         return -self._u ** 2
 
-    def offdiagonal_abs_sums(self):
+    def offdiagonal_abs_sums(self, products=None):
         """sum_{k != i} |M_ik| per row, in O(deg(i)) per row.
 
         Neighbour entries are |s_i s_k - u_i u_k|; the non-neighbour entries
         are all -u_i u_k, so their absolute values sum to
-        u_i (sum_k u_k - u_i - sum_{k in N(i)} u_k).
+        u_i (sum_k u_k - u_i - sum_{k in N(i)} u_k). products, if given,
+        holds the s_i s_k of _edge_products(s) already; it is not changed.
         """
         adj, u = self.graph.adjacency, self._u
-        entries = self._edge_products(self._s)
-        np.subtract(entries, self._edge_products(u), out=entries)
+        if products is None:
+            products = self._edge_products(self._s)
+        entries = self._edge_products(u)
+        np.subtract(products, entries, out=entries)
         np.abs(entries, out=entries)
         # row sums through the adjacency's pattern need no 2m-long row index array
         neighbour_abs = sparse.csr_matrix((entries, adj.indices, adj.indptr), shape=adj.shape,
@@ -134,14 +139,16 @@ class ShiftedOperator:
             raise ValueError("shift epsilon must be non-negative")
         self.base = base
         self.epsilon = float(epsilon)
-        self.shift = diagonal_shift_vector(base, epsilon)
+        # s_i s_k on every edge, formed once: a term of the shift and W's values
+        products = base._edge_products(base._s)
+        self.shift = 1.0 + self.epsilon + base.offdiagonal_abs_sums(products)
         n, index = base.n, base.graph.adjacency.indices.dtype
         # row i of the addend holds (i, i, v_i - M_ii) and (i, n, -u_i)
         plus = sparse.csr_matrix(
             (np.column_stack([self.shift - base.diagonal(), -base._u]).ravel(),
              np.column_stack([np.arange(n, dtype=index), np.full(n, n, dtype=index)]).ravel(),
              np.arange(0, 2 * n + 1, 2, dtype=index)), shape=(n, n + 1))
-        self._K = base._weights(plus)
+        self._K = base._weights(plus, products)
         self._u = base._u
 
     @property

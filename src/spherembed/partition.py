@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .graphs import _csv_text
 # vp_run no longer calls modularity_of_partition, the full recount, but the
@@ -72,9 +73,10 @@ def z_tilde_value(centroids):
 
 
 def _centroids_for(rows, labels, k):
-    # one bincount per column; each bin sums its rows in row order
-    return np.column_stack([np.bincount(labels, weights=rows[:, j], minlength=k)
-                            for j in range(rows.shape[1])])
+    # one product with the k x n cluster indicator, one entry per column:
+    # each cluster's sum adds its rows in row order, as np.add.at does
+    n = len(labels)
+    return sparse.csc_matrix((np.ones(n), labels, np.arange(n + 1)), shape=(k, n)) @ rows
 
 
 def _nearest_centroids(rows, centroids):

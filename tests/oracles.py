@@ -778,3 +778,34 @@ def reference_solve(k, cfg, rng=None, x0=None):
                        method="gpm" if plain else f"gpmm-{cfg.momentum_variant}",
                        step_norms_sq=np.array(steps) if plain else None,
                        delta_trace=np.array(deltas) if plain else None)
+
+
+# ShiftedOperator's matrix build as it stood before the shift and W shared
+# one array of edge products: each formed s_i s_k itself. Kept verbatim, bar
+# the names, as the reference whose shift and K the build must match byte
+# for byte.
+
+def _reference_edge_products(adj, v):
+    out = np.repeat(v, np.diff(adj.indptr))
+    out *= v[adj.indices]
+    return out
+
+
+def reference_shifted_matrix(base, epsilon=0.0):
+    """(shift, K) as ShiftedOperator.__init__ built them for a descriptor base."""
+    adj, s, u = base.graph.adjacency, base._s, base._u
+    entries = _reference_edge_products(adj, s)
+    np.subtract(entries, _reference_edge_products(adj, u), out=entries)
+    np.abs(entries, out=entries)
+    neighbour_abs = sparse.csr_matrix((entries, adj.indices, adj.indptr), shape=adj.shape,
+                                      copy=False)
+    nonadj_part = u * (u.sum() - u - adj @ u)
+    shift = 1.0 + epsilon + (neighbour_abs @ np.ones(base.n) + nonadj_part)
+    n, index = base.n, adj.indices.dtype
+    plus = sparse.csr_matrix(
+        (np.column_stack([shift - base.diagonal(), -u]).ravel(),
+         np.column_stack([np.arange(n, dtype=index), np.full(n, n, dtype=index)]).ravel(),
+         np.arange(0, 2 * n + 1, 2, dtype=index)), shape=(n, n + 1))
+    W = sparse.csr_matrix((_reference_edge_products(adj, s), adj.indices, adj.indptr),
+                          shape=plus.shape, copy=False)
+    return shift, W + plus

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import BARBELL_EDGES
 from oracles import (dense_adjacency, make_graph, random_connected_graph,
-                     reference_generate_planted_partition, reference_load_edge_list,
-                     reference_load_ground_truth)
+                     reference_generate_planted_partition, reference_largest_connected_component,
+                     reference_load_edge_list, reference_load_ground_truth)
 from spherembed import (EdgeListError, Graph, PlantedPartitionSpec,
                         generate_planted_partition, graphs, largest_connected_component,
                         load_edge_list, load_ground_truth, write_edge_list)
@@ -323,6 +323,64 @@ def test_component_tie_among_many_components(rng):
     winner = corners[np.flatnonzero((corners == 1000).any(axis=1))[0]]
     assert g.node_labels == tuple(sorted(winner.tolist()))
     assert g.m == 3
+
+
+def _components_graph(rng, comp):
+    """Graph on nodes 0..len(comp) - 1 whose components are the sets of equal comp.
+
+    Each component is a random spanning tree plus a few random chords.
+    """
+    edges = set()
+    for c in np.unique(comp):
+        members = rng.permutation(np.flatnonzero(comp == c)).tolist()
+        for idx in range(1, len(members)):
+            a, b = members[idx], members[int(rng.integers(0, idx))]
+            edges.add((min(a, b), max(a, b)))
+        for _ in range(len(members) // 3):
+            a, b = rng.choice(members, size=2, replace=False).tolist()
+            edges.add((min(a, b), max(a, b)))
+    rows, cols = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T
+    return Graph.from_edges(len(comp), rows, cols, range(len(comp)))
+
+
+def _node0_first(rng, sizes):
+    """Component ids of random components of the given sizes; node 0 is in the first."""
+    n = sum(sizes)
+    order = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    comp = np.empty(n, dtype=np.int64)
+    comp[order] = np.repeat(np.arange(len(sizes)), sizes)
+    return comp
+
+
+LCC_CASES = {
+    "connected": (False, lambda rng: np.zeros(60, dtype=np.int64)),
+    "giant and isolated nodes": (False, lambda rng: np.where(
+        (rng.random(60) < 0.2) & (np.arange(60) > 0), np.arange(60), 0)),
+    "two equal halves": (False, lambda rng: np.arange(60) % 2),
+    "node 0 in a small component": (True, lambda rng: np.isin(np.arange(60), [0, 7, 33]) * 1),
+    "node 0 just under half": (True, lambda rng: _node0_first(rng, [29, 31])),
+    "node 0 holds exactly half": (False, lambda rng: _node0_first(rng, [30, 20, 10])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LCC_CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_largest_connected_component_matches_reference(case, seed, monkeypatch):
+    # one breadth-first search from node 0 settles every case but the one
+    # where node 0's component is under half the nodes, which searches them all
+    fallback, make = LCC_CASES[case]
+    rng = np.random.default_rng(seed)
+    g = _components_graph(rng, make(rng))
+    want = reference_largest_connected_component(g)
+    searches = []
+    search = graphs.csgraph.connected_components
+    monkeypatch.setattr(graphs.csgraph, "connected_components",
+                        lambda *a, **k: searches.append(1) or search(*a, **k))
+    got = largest_connected_component(g)
+    assert len(searches) == fallback
+    _assert_same_graph(got, want)
+    if got.n == g.n:
+        assert got is g
 
 
 @pytest.mark.parametrize("make, digest", [

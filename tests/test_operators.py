@@ -8,7 +8,7 @@ from scipy import sparse
 
 from oracles import (REFERENCE_DESCRIPTORS, ReferenceShiftedOperator, dense_adjacency,
                      dense_laplacian_descriptor, dense_modularity_matrix, dense_shifted,
-                     make_graph, random_connected_graph)
+                     make_graph, random_connected_graph, reference_shifted_matrix)
 from spherembed import (Graph, PlantedPartitionSpec, ShiftedOperator,
                         generate_planted_partition, make_descriptor)
 from spherembed.operators import diagonal_shift_vector
@@ -195,6 +195,23 @@ def test_shifted_matches_reference_shifted_on_planted_graph(kind):
     expected = ref.sample_columns(6, np.random.default_rng(3))
     np.testing.assert_allclose(op.sample_columns(6, np.random.default_rng(3)), expected,
                                rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.25])
+def test_shifted_build_matches_reference_bytes(kind, epsilon):
+    """One array of edge products serves the shift and W: K is unchanged, byte for byte."""
+    spec = PlantedPartitionSpec(n=2000, k=10, p_in=12 / 199, p_out=3 / 1800, seed=5)
+    g, _ = generate_planted_partition(spec)
+    base = make_descriptor(g, kind)
+    op = ShiftedOperator(base, epsilon)
+    shift, K = reference_shifted_matrix(base, epsilon)
+    assert op.shift.tobytes() == shift.tobytes()
+    assert op._K.shape == K.shape
+    for got, want in ((op._K.data, K.data), (op._K.indices, K.indices),
+                      (op._K.indptr, K.indptr)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert diagonal_shift_vector(base, epsilon).tobytes() == shift.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])

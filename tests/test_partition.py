@@ -270,6 +270,16 @@ def test_compact_matches_reference_on_gapped_labels(rng):
                 == reference_centroids_for(rows, labels, 1000).tobytes())
 
 
+@pytest.mark.parametrize("n, d, k", [(1, 3, 4), (50, 2, 9), (3000, 10, 40)])
+def test_centroids_match_reference_bitwise_with_empty_clusters(rng, n, d, k):
+    rows = unit_rows(rng, n, d)
+    labels = rng.integers(0, k, size=n)
+    labels[(labels == k // 2) | (labels == k - 1)] = 0  # empty in the middle and at the end
+    got = _centroids_for(rows, labels, k)
+    assert got.shape == (k, d) and got.dtype == np.float64
+    assert got.tobytes() == reference_centroids_for(rows, labels, k).tobytes()
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("n, blocks, k, seed", [
     (150, 3, 4, 1), (240, 4, 12, 2), (300, 5, 60, 3), (120, 2, 119, 4),
