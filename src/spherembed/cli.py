@@ -45,11 +45,6 @@ def _add_embed_options(p):
                    help="iteration cap")
     p.add_argument("--momentum", action=argparse.BooleanOptionalAction,
                    default=DEFAULTS["momentum"], help="use the momentum solver")
-    p.add_argument("--momentum-variant", choices=["main", "appendix"],
-                   default=DEFAULTS["momentum_variant"],
-                   help="which momentum update to use")
-    p.add_argument("--shift-epsilon", type=float, default=DEFAULTS["shift_epsilon"],
-                   help="extra diagonal dominance margin")
     p.add_argument("--epsilon", type=float, default=DEFAULTS["epsilon"],
                    help="effective-dimension threshold")
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"], help="run seed")
@@ -63,7 +58,7 @@ def _add_embed_options(p):
 
 def _add_partition_options(p):
     p.add_argument("--k", type=int, default=DEFAULTS["k"],
-                   help="initial centroid count (clamped to n)")
+                   help="initial centroid count (clamped to n - 1)")
     p.add_argument("--restarts", type=int, default=DEFAULTS["restarts"],
                    help="partitioner restarts")
     p.add_argument("--max-rounds", type=int, default=DEFAULTS["max_rounds"],

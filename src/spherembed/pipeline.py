@@ -6,9 +6,10 @@ partition restarts. Repeating a config therefore reproduces every stage
 bit for bit, and the partition stage stays reproducible whether or not it
 shares a process with the embedding stage.
 
-Embedding dimension d0 and centroid count k are clamped to the node count,
-since column sampling and centroid seeding draw without replacement. Every
-setting is checked when the config is built, before any stage runs.
+Embedding dimension d0 is clamped to the node count n, since column
+sampling draws without replacement, and centroid count k to max(1, n - 1)
+(see run_partition). Every setting is checked when the config is built,
+before any stage runs.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -20,7 +21,7 @@ from .metrics import nmi as nmi_metric
 from .metrics import summarize
 from .operators import ShiftedOperator, make_descriptor
 from .partition import best_of_restarts
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, _check_count, solve
 
 
 @dataclass
@@ -28,7 +29,6 @@ class PipelineConfig(SolverConfig):
     """Solver settings plus those of the descriptor, embedding and partition stages."""
 
     descriptor: str = "modularity"
-    shift_epsilon: float = 0.0
     epsilon: float = 0.01
     k: int = 100
     restarts: int = 5
@@ -42,24 +42,17 @@ class PipelineConfig(SolverConfig):
             raise ValueError(f"unknown descriptor kind {self.descriptor!r}")
         if self.embedding_kind not in ("spherical", "ellipsoidal"):
             raise ValueError(f"unknown embedding kind {self.embedding_kind!r}")
-        if not self.shift_epsilon >= 0:
-            raise ValueError("shift epsilon must be non-negative")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_rounds < 0:
-            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        _check_count(self, "k", 1)
+        _check_count(self, "restarts", 1)
+        _check_count(self, "max_rounds", 0)
+        if self.jobs is not None:
+            _check_count(self, "jobs", 1)
 
     def echo(self, with_partition=False):
         """Config section for the run summary; jobs never changes a result."""
         skip = {"jobs"}
-        if not self.momentum:
-            skip.add("momentum_variant")
         if not with_partition:
             skip.update(("k", "restarts", "max_rounds"))
         return {f.name: f.type(getattr(self, f.name)) for f in fields(self)
@@ -74,7 +67,7 @@ def seed_tree(cfg):
 def run_embedding(graph, cfg):
     """Solve for the embedding of a graph; returns (SolveResult, EmbeddingResult)."""
     op = make_descriptor(graph, cfg.descriptor)
-    shifted = ShiftedOperator(op, cfg.shift_epsilon)
+    shifted = ShiftedOperator(op)
     result = solve(shifted, replace(cfg, d0=min(cfg.d0, graph.n)), rng=seed_tree(cfg)[0])
     return result, svd_embedding(result.x, epsilon=cfg.epsilon)
 

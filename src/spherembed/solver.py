@@ -11,11 +11,23 @@ runs are reproducible across platforms.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import _csv_text
+
+
+def _check_count(cfg, name, low):
+    """ValueError naming the field unless cfg.<name> is an integer >= low."""
+    value = getattr(cfg, name)
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 @dataclass
@@ -24,18 +36,14 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 10000
     momentum: bool = True
-    momentum_variant: str = "main"
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.d0) != self.d0 or self.d0 < 2:
-            raise ValueError(f"d0 must be an integer >= 2, got {self.d0}")
+        _check_count(self, "d0", 2)
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.momentum_variant not in ("main", "appendix"):
-            raise ValueError(f"unknown momentum variant {self.momentum_variant!r}")
+        _check_count(self, "max_iter", 1)
+        _check_count(self, "seed", 0)
 
 
 @dataclass
@@ -44,9 +52,9 @@ class SolveResult:
 
     objective is always Tr(x^T K x) at the final iterate; trace holds the
     series the stopping test read, one entry per update after trace[0] =
-    f(x0) (for the momentum main variant the surrogate Tr((K x_{j-1})^T x_j),
-    not the objective itself). step_norms_sq and delta_trace are recorded
-    by the plain method only.
+    f(x0) (with momentum the surrogate Tr((K x_{j-1})^T x_j), not the
+    objective itself). step_norms_sq and delta_trace are recorded by the
+    plain method only.
     """
 
     x: np.ndarray
@@ -116,11 +124,9 @@ def solve(k, cfg, rng=None, x0=None):
     z_j = K x_{j-1} + r_j (K x_{j-1} - K x_{j-2}), so it costs one apply.
     The plain method (cfg.momentum False) has r_j = 0 and increases the
     objective by more than the squared step norm; momentum uses
-    r_j = (j-1)/(j+2) and is not guaranteed monotone. K is linear, so z_j
-    is also K(x_{j-1} + r_j (x_{j-1} - x_{j-2})): the "main" and "appendix"
-    variants share their iterates and differ only in the series the
-    stopping test reads, the surrogate Tr((K x_{j-1})^T x_j) for main and
-    the objective for the plain and appendix methods.
+    r_j = (j-1)/(j+2) and is not guaranteed monotone. The stopping test
+    reads the objective for the plain method and the surrogate
+    Tr((K x_{j-1})^T x_j) with momentum.
 
     Beyond the apply, an update makes a few dense O(n d0) passes: z_j (with
     momentum), the row norms, the projection and one inner product, plus
@@ -138,7 +144,6 @@ def solve(k, cfg, rng=None, x0=None):
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     x = _initial_point(k, cfg, rng, x0)
     plain = not cfg.momentum
-    surrogate = cfg.momentum and cfg.momentum_variant == "main"
     y = y_prev = k.apply(x)
     f = _finite_objective(x, y, 0)
     trace = [f]
@@ -168,7 +173,7 @@ def solve(k, cfg, rng=None, x0=None):
         if plain:
             step = np.subtract(x_new, x, out=x)  # x_{j-1} is not needed after this
             steps.append(float(np.vdot(step, step)))
-        if surrogate:
+        else:
             trace.append(float(np.vdot(y, x_new)))
         x, spare, y_prev = x_new, x, y
         y = k.apply(x)
@@ -176,7 +181,6 @@ def solve(k, cfg, rng=None, x0=None):
         if plain:
             y_norms = _row_norms(y)
             deltas.append(float(np.sum(y_norms) - f))
-        if not surrogate:
             trace.append(f)
         if j >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
             converged = True
@@ -184,7 +188,7 @@ def solve(k, cfg, rng=None, x0=None):
     delta = float(np.sum(_row_norms(y) if y_norms is None else y_norms) - f)
     return SolveResult(x=x, objective=f, delta=delta,
                        trace=np.array(trace), iterations=j, converged=converged,
-                       method="gpm" if plain else f"gpmm-{cfg.momentum_variant}",
+                       method="gpm" if plain else "gpmm",
                        step_norms_sq=np.array(steps) if plain else None,
                        delta_trace=np.array(deltas) if plain else None)
 
@@ -193,9 +197,9 @@ def write_trace_csv(result, include_delta=False):
     """Text of result.trace as "iteration,objective[,delta_criterion]".
 
     The objective column is the series the stop test read (see SolveResult):
-    the surrogate Tr((K x_{j-1})^T x_j) for the momentum main variant, the
-    objective Tr(x_j^T K x_j) for the plain and appendix methods. The header
-    keeps its name either way.
+    the objective Tr(x_j^T K x_j) for the plain method, the surrogate
+    Tr((K x_{j-1})^T x_j) with momentum. The header keeps its name either
+    way.
     """
     header, values = ["iteration", "objective"], result.trace
     if include_delta and result.delta_trace is not None:

@@ -719,11 +719,9 @@ def reference_solve(k, cfg, rng=None, x0=None):
     z_j = K x_{j-1} + r_j (K x_{j-1} - K x_{j-2}), so it costs one apply.
     The plain method (cfg.momentum False) has r_j = 0 and increases the
     objective by more than the squared step norm; momentum uses
-    r_j = (j-1)/(j+2) and is not guaranteed monotone. K is linear, so z_j
-    is also K(x_{j-1} + r_j (x_{j-1} - x_{j-2})): the "main" and "appendix"
-    variants share their iterates and differ only in the series the
-    stopping test reads, the surrogate Tr((K x_{j-1})^T x_j) for main and
-    the objective for the plain and appendix methods.
+    r_j = (j-1)/(j+2) and is not guaranteed monotone. The stopping test
+    reads the objective for the plain method and the surrogate
+    Tr((K x_{j-1})^T x_j) with momentum.
 
     Stops once the relative change of that series drops below cfg.tol
     (tested from the second update on) or after cfg.max_iter updates, in
@@ -733,7 +731,7 @@ def reference_solve(k, cfg, rng=None, x0=None):
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     x = _reference_initial_point(k, cfg, rng, x0)
     plain = not cfg.momentum
-    surrogate = cfg.momentum and cfg.momentum_variant == "main"
+    surrogate = cfg.momentum
     y = y_prev = k.apply(x)
     f = float(np.vdot(x, y))
     trace = [f]
@@ -775,7 +773,7 @@ def reference_solve(k, cfg, rng=None, x0=None):
     delta = float(np.sum(np.linalg.norm(y, axis=1)) - f)
     return SolveResult(x=x, objective=f, delta=delta,
                        trace=np.array(trace), iterations=j, converged=converged,
-                       method="gpm" if plain else f"gpmm-{cfg.momentum_variant}",
+                       method="gpm" if plain else "gpmm",
                        step_norms_sq=np.array(steps) if plain else None,
                        delta_trace=np.array(deltas) if plain else None)
 

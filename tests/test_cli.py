@@ -4,6 +4,7 @@ import ctypes
 import io
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,11 @@ from spherembed import (PlantedPartitionSpec, cli, generate_planted_partition, g
 
 EMBED_FILES = ["embedding.csv", "spectrum.csv", "trace.csv", "summary.json"]
 PIPELINE_FILES = EMBED_FILES + ["partition.csv", "run_log.json"]
-# the summary's config section under default flags, as written before the
-# CLI built its config from the dataclass fields
+# the summary's config section under default flags, spelled out so that a
+# change to the config's fields shows here as a change to summary.json
 DEFAULT_EMBED_CONFIG = {
     "d0": 30, "descriptor": "modularity", "embedding_kind": "spherical", "epsilon": 0.01,
-    "max_iter": 10000, "momentum": True, "momentum_variant": "main", "seed": 0,
-    "shift_epsilon": 0.0, "tol": 1e-08,
+    "max_iter": 10000, "momentum": True, "seed": 0, "tol": 1e-08,
 }
 DEFAULT_PARTITION_CONFIG = {**DEFAULT_EMBED_CONFIG, "k": 100, "max_rounds": 200,
                             "restarts": 5}
@@ -67,11 +67,10 @@ def test_embed_momentum_flags(tmp_path, k3_file):
     out_off = tmp_path / "off"
     cli.main(["embed", "--input", k3_file, "--output-dir", str(out_on)])
     cli.main(["embed", "--input", k3_file, "--no-momentum", "--output-dir", str(out_off)])
-    cfg_on = read_json(out_on / "summary.json")["config"]
-    cfg_off = read_json(out_off / "summary.json")["config"]
-    assert cfg_on["momentum_variant"] == "main"
-    assert "momentum_variant" not in cfg_off  # only echoed when momentum is on
-    assert read_json(out_off / "summary.json")["solver"]["method"] == "gpm"
+    on, off = read_json(out_on / "summary.json"), read_json(out_off / "summary.json")
+    assert (on["config"]["momentum"], off["config"]["momentum"]) == (True, False)
+    assert on["config"].keys() == off["config"].keys()
+    assert (on["solver"]["method"], off["solver"]["method"]) == ("gpmm", "gpm")
 
 
 def test_embed_deterministic_bytes(tmp_path, k3_file):
@@ -101,6 +100,34 @@ def test_unknown_flag_usage_error(k3_file):
     with pytest.raises(SystemExit) as err:
         cli.main(["embed", "--input", k3_file, "--frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--momentum-variant", "appendix"),
+                                         ("--shift-epsilon", "0.5")])
+@pytest.mark.parametrize("command", [["embed"], ["partition", "--pipeline"]])
+def test_removed_solver_flags_are_usage_errors(tmp_path, k3_file, command, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        cli.main([*command, "--input", k3_file, flag, value, "--output-dir", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+# options that steer the command rather than the computation
+CLI_ONLY = {"input", "output_dir", "timings", "trace_delta", "truth", "embedding", "pipeline"}
+PARTITION_ONLY = {"k", "restarts", "max_rounds", "jobs"}
+
+
+@pytest.mark.parametrize("command, excluded", [("embed", PARTITION_ONLY), ("partition", set())])
+def test_flags_match_config_fields(command, excluded):
+    # _config_from passes on only the options named like a field, so a flag
+    # without one would be accepted and do nothing
+    options = vars(cli.build_parser().parse_args([command, "--input", "g.txt"]))
+    options.pop("command")
+    field_defaults = {f.name: f.default for f in fields(pipeline.PipelineConfig)
+                      if f.name not in excluded}
+    assert set(options) - CLI_ONLY == set(field_defaults)
+    assert {name: options[name] for name in field_defaults} == field_defaults
 
 
 def test_numerical_failure_exits_1(tmp_path, k3_file, monkeypatch):
@@ -234,7 +261,7 @@ def test_bad_solver_value_exits_2_without_solving(tmp_path, barbell_file):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--restarts", "0"), ("--epsilon", "1.5"), ("--epsilon", "0"), ("--shift-epsilon", "-1"),
+    ("--restarts", "0"), ("--epsilon", "1.5"), ("--epsilon", "0"), ("--seed", "-1"),
     ("--k", "0"), ("--max-rounds", "-1"), ("--jobs", "0"),
 ])
 @pytest.mark.parametrize("source", ["pipeline", "embedding"])
@@ -252,7 +279,7 @@ def test_bad_partition_value_exits_2_before_loading(tmp_path, barbell_file, monk
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--epsilon", "1.5"), ("--shift-epsilon", "-1")])
+@pytest.mark.parametrize("flag, value", [("--epsilon", "1.5"), ("--seed", "-1")])
 def test_bad_embed_value_exits_2_before_loading(tmp_path, barbell_file, monkeypatch,
                                                 flag, value):
     monkeypatch.setattr(cli, "load_edge_list", lambda *a, **k: pytest.fail("graph loaded"))

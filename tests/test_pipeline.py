@@ -12,7 +12,6 @@ def test_config_echo_embed_only():
     echo = cfg.echo()
     assert echo["seed"] == 4
     assert echo["d0"] == 12
-    assert echo["momentum_variant"] == "main"
     assert "k" not in echo and "restarts" not in echo
 
 
@@ -23,23 +22,33 @@ def test_config_echo_with_partition():
     assert echo["max_rounds"] == 200
 
 
-def test_momentum_variant_echoed_only_when_momentum_on():
-    assert "momentum_variant" in PipelineConfig(momentum=True).echo()
-    assert "momentum_variant" not in PipelineConfig(momentum=False).echo()
+def test_echo_keys_do_not_depend_on_momentum():
+    on, off = PipelineConfig(momentum=True).echo(), PipelineConfig(momentum=False).echo()
+    assert on.keys() == off.keys()
 
 
 @pytest.mark.parametrize("setting, match", [
     ({"descriptor": "laplacian"}, "unknown descriptor kind"),
     ({"embedding_kind": "polar"}, "unknown embedding kind"),
-    ({"shift_epsilon": -0.5}, "shift epsilon must be non-negative"),
-    ({"shift_epsilon": float("nan")}, "shift epsilon must be non-negative"),
     ({"epsilon": 0.0}, "epsilon must lie in"),
     ({"epsilon": 1.0}, "epsilon must lie in"),
     ({"k": 0}, "k must be >= 1"),
     ({"restarts": 0}, "restarts must be >= 1"),
     ({"max_rounds": -1}, "max_rounds must be >= 0"),
     ({"jobs": 0}, "jobs must be >= 1"),
-    ({"tol": 5.0}, "tol must lie in"),  # the solver fields are still checked
+    # counts must be integers, checked here rather than deep inside a stage
+    ({"k": 2.5}, "k must be an integer"),
+    ({"restarts": 2.5}, "restarts must be an integer"),
+    ({"max_rounds": 1.5}, "max_rounds must be an integer"),
+    ({"jobs": 1.5}, "jobs must be an integer"),
+    # the solver fields are still checked
+    ({"tol": 5.0}, "tol must lie in"),
+    ({"d0": 10.0}, "d0 must be an integer"),
+    ({"d0": "10"}, "d0 must be an integer"),
+    ({"max_iter": 1.5}, "max_iter must be an integer"),
+    ({"max_iter": 0}, "max_iter must be >= 1"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"seed": 0.5}, "seed must be an integer"),
 ])
 def test_config_rejects_bad_settings_when_built(setting, match):
     with pytest.raises(ValueError, match=match):
@@ -47,7 +56,8 @@ def test_config_rejects_bad_settings_when_built(setting, match):
 
 
 def test_config_accepts_boundary_settings():
-    PipelineConfig(k=1, restarts=1, max_rounds=0, jobs=1, shift_epsilon=0.0)
+    PipelineConfig(k=1, restarts=1, max_rounds=0, jobs=1, seed=0, max_iter=1, d0=2)
+    PipelineConfig(d0=np.int64(10), k=np.int32(4), seed=np.uint64(7))  # numpy integers are counts
     PipelineConfig(descriptor="normlap", embedding_kind="ellipsoidal", jobs=None)
 
 
