@@ -45,8 +45,6 @@ def _add_embed_options(p):
                    help="iteration cap")
     p.add_argument("--momentum", action=argparse.BooleanOptionalAction,
                    default=DEFAULTS["momentum"], help="use the momentum solver")
-    p.add_argument("--epsilon", type=float, default=DEFAULTS["epsilon"],
-                   help="effective-dimension threshold")
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"], help="run seed")
     p.add_argument("--embedding-kind", choices=["spherical", "ellipsoidal"],
                    default=DEFAULTS["embedding_kind"],
@@ -61,8 +59,6 @@ def _add_partition_options(p):
                    help="initial centroid count (clamped to n - 1)")
     p.add_argument("--restarts", type=int, default=DEFAULTS["restarts"],
                    help="partitioner restarts")
-    p.add_argument("--max-rounds", type=int, default=DEFAULTS["max_rounds"],
-                   help="rounds per restart")
     p.add_argument("--jobs", type=int, default=DEFAULTS["jobs"],
                    help="parallel restart workers")
     p.add_argument("--truth", help="ground-truth community file for NMI")

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Graph, _run_starts, largest_connected_component
+from .solver import _check_count
 
 COVERAGE = 0.95
 MAX_ATTEMPTS = 20
@@ -35,9 +36,10 @@ class PlantedPartitionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 nodes")
-        if not 1 <= self.k <= self.n:
+        _check_count(self, "n", 2)
+        _check_count(self, "k", 1)
+        _check_count(self, "seed", 0)
+        if self.k > self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}")
         if not 0.0 <= self.p_out <= self.p_in <= 1.0:
             raise ValueError("probabilities must satisfy 0 <= p_out <= p_in <= 1")

@@ -213,6 +213,9 @@ def best_of_restarts(rows, graph, k, restarts, rng, max_rounds=200, jobs=None):
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    rows = np.asarray(rows, dtype=float)
+    if not np.isfinite(rows).all():
+        raise ValueError("partition rows contain non-finite values")
     children = rng.spawn(restarts)
 
     def one(child):

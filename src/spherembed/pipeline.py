@@ -29,10 +29,8 @@ class PipelineConfig(SolverConfig):
     """Solver settings plus those of the descriptor, embedding and partition stages."""
 
     descriptor: str = "modularity"
-    epsilon: float = 0.01
     k: int = 100
     restarts: int = 5
-    max_rounds: int = 200
     jobs: int = None
     embedding_kind: str = "spherical"
 
@@ -42,11 +40,8 @@ class PipelineConfig(SolverConfig):
             raise ValueError(f"unknown descriptor kind {self.descriptor!r}")
         if self.embedding_kind not in ("spherical", "ellipsoidal"):
             raise ValueError(f"unknown embedding kind {self.embedding_kind!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         _check_count(self, "k", 1)
         _check_count(self, "restarts", 1)
-        _check_count(self, "max_rounds", 0)
         if self.jobs is not None:
             _check_count(self, "jobs", 1)
 
@@ -54,7 +49,7 @@ class PipelineConfig(SolverConfig):
         """Config section for the run summary; jobs never changes a result."""
         skip = {"jobs"}
         if not with_partition:
-            skip.update(("k", "restarts", "max_rounds"))
+            skip.update(("k", "restarts"))
         return {f.name: f.type(getattr(self, f.name)) for f in fields(self)
                 if f.name not in skip}
 
@@ -69,7 +64,7 @@ def run_embedding(graph, cfg):
     op = make_descriptor(graph, cfg.descriptor)
     shifted = ShiftedOperator(op)
     result = solve(shifted, replace(cfg, d0=min(cfg.d0, graph.n)), rng=seed_tree(cfg)[0])
-    return result, svd_embedding(result.x, epsilon=cfg.epsilon)
+    return result, svd_embedding(result.x)
 
 
 def run_partition(graph, rows, cfg):
@@ -80,8 +75,7 @@ def run_partition(graph, rows, cfg):
     large default k would strand small graphs there.
     """
     k_eff = max(1, min(cfg.k, graph.n - 1))
-    return best_of_restarts(rows, graph, k_eff, cfg.restarts, seed_tree(cfg)[1],
-                            max_rounds=cfg.max_rounds, jobs=cfg.jobs)
+    return best_of_restarts(rows, graph, k_eff, cfg.restarts, seed_tree(cfg)[1], jobs=cfg.jobs)
 
 
 def run_pipeline(graph, cfg, truth=None):

@@ -43,6 +43,8 @@ class SolverConfig:
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         _check_count(self, "max_iter", 1)
+        if not isinstance(self.momentum, (bool, np.bool_)):
+            raise ValueError(f"momentum must be a bool, got {self.momentum!r}")
         _check_count(self, "seed", 0)
 
 

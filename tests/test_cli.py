@@ -20,11 +20,10 @@ PIPELINE_FILES = EMBED_FILES + ["partition.csv", "run_log.json"]
 # the summary's config section under default flags, spelled out so that a
 # change to the config's fields shows here as a change to summary.json
 DEFAULT_EMBED_CONFIG = {
-    "d0": 30, "descriptor": "modularity", "embedding_kind": "spherical", "epsilon": 0.01,
-    "max_iter": 10000, "momentum": True, "seed": 0, "tol": 1e-08,
+    "d0": 30, "descriptor": "modularity", "embedding_kind": "spherical", "max_iter": 10000,
+    "momentum": True, "seed": 0, "tol": 1e-08,
 }
-DEFAULT_PARTITION_CONFIG = {**DEFAULT_EMBED_CONFIG, "k": 100, "max_rounds": 200,
-                            "restarts": 5}
+DEFAULT_PARTITION_CONFIG = {**DEFAULT_EMBED_CONFIG, "k": 100, "restarts": 5}
 
 
 def write_edges(path, edges):
@@ -103,7 +102,8 @@ def test_unknown_flag_usage_error(k3_file):
 
 
 @pytest.mark.parametrize("flag, value", [("--momentum-variant", "appendix"),
-                                         ("--shift-epsilon", "0.5")])
+                                         ("--shift-epsilon", "0.5"), ("--epsilon", "0.5"),
+                                         ("--max-rounds", "3")])
 @pytest.mark.parametrize("command", [["embed"], ["partition", "--pipeline"]])
 def test_removed_solver_flags_are_usage_errors(tmp_path, k3_file, command, flag, value):
     out = tmp_path / "out"
@@ -115,7 +115,7 @@ def test_removed_solver_flags_are_usage_errors(tmp_path, k3_file, command, flag,
 
 # options that steer the command rather than the computation
 CLI_ONLY = {"input", "output_dir", "timings", "trace_delta", "truth", "embedding", "pipeline"}
-PARTITION_ONLY = {"k", "restarts", "max_rounds", "jobs"}
+PARTITION_ONLY = {"k", "restarts", "jobs"}
 
 
 @pytest.mark.parametrize("command, excluded", [("embed", PARTITION_ONLY), ("partition", set())])
@@ -261,8 +261,7 @@ def test_bad_solver_value_exits_2_without_solving(tmp_path, barbell_file):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--restarts", "0"), ("--epsilon", "1.5"), ("--epsilon", "0"), ("--seed", "-1"),
-    ("--k", "0"), ("--max-rounds", "-1"), ("--jobs", "0"),
+    ("--restarts", "0"), ("--seed", "-1"), ("--k", "0"), ("--jobs", "0"),
 ])
 @pytest.mark.parametrize("source", ["pipeline", "embedding"])
 def test_bad_partition_value_exits_2_before_loading(tmp_path, barbell_file, monkeypatch,
@@ -279,7 +278,7 @@ def test_bad_partition_value_exits_2_before_loading(tmp_path, barbell_file, monk
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--epsilon", "1.5"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag, value", [("--d0", "1"), ("--seed", "-1")])
 def test_bad_embed_value_exits_2_before_loading(tmp_path, barbell_file, monkeypatch,
                                                 flag, value):
     monkeypatch.setattr(cli, "load_edge_list", lambda *a, **k: pytest.fail("graph loaded"))

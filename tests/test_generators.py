@@ -29,6 +29,27 @@ def test_spec_validation():
         PlantedPartitionSpec(n=10, k=2, p_in=1.2, p_out=0.1)
 
 
+@pytest.mark.parametrize("setting, match", [
+    ({"n": 300.0}, "n must be an integer"),
+    ({"k": 3.0}, "k must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be >= 0"),
+])
+def test_spec_rejects_non_integer_counts_when_built(setting, match):
+    # checked when the spec is built, not deep inside sampling
+    with pytest.raises(ValueError, match=match):
+        PlantedPartitionSpec(**{"n": 300, "k": 3, "p_in": 0.1, "p_out": 0.01, **setting})
+
+
+def test_spec_accepts_numpy_integer_counts():
+    plain = generate_planted_partition(PlantedPartitionSpec(n=300, k=3, p_in=0.1, p_out=0.01,
+                                                            seed=2))
+    numpy = generate_planted_partition(PlantedPartitionSpec(
+        n=np.int64(300), k=np.int32(3), p_in=0.1, p_out=0.01, seed=np.uint64(2)))
+    assert plain[0].adjacency.nnz == numpy[0].adjacency.nnz
+    assert np.array_equal(plain[1], numpy[1])
+
+
 def test_disconnected_blocks_raise():
     # p_in=1, p_out=0 gives two disjoint cliques: the largest component
     # holds only half the nodes, so generation cannot reach coverage

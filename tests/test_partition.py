@@ -187,6 +187,16 @@ def test_best_of_restarts_indexing(rng, barbell):
         best_of_restarts(rows, barbell, 3, 0, np.random.default_rng(9))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_best_of_restarts_rejects_non_finite_rows(rng, barbell, bad):
+    rows = unit_rows(rng, 6, 3)
+    rows[4, 1] = bad
+    with pytest.raises(ValueError, match="partition rows contain non-finite values"):
+        best_of_restarts(rows, barbell, 3, 2, np.random.default_rng(9))
+    with pytest.raises(ValueError, match="non-finite"):
+        run_partition(barbell, rows, PipelineConfig(k=3, restarts=2))
+
+
 def test_single_restart_equals_vp_run_on_child(rng, barbell):
     # restarts=1 degenerates to one vp_run fed the first spawned generator
     rows = unit_rows(rng, 6, 3)

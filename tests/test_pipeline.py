@@ -19,7 +19,7 @@ def test_config_echo_with_partition():
     echo = PipelineConfig(k=30, restarts=3).echo(with_partition=True)
     assert echo["k"] == 30
     assert echo["restarts"] == 3
-    assert echo["max_rounds"] == 200
+    assert "epsilon" not in echo and "max_rounds" not in echo
 
 
 def test_echo_keys_do_not_depend_on_momentum():
@@ -30,16 +30,12 @@ def test_echo_keys_do_not_depend_on_momentum():
 @pytest.mark.parametrize("setting, match", [
     ({"descriptor": "laplacian"}, "unknown descriptor kind"),
     ({"embedding_kind": "polar"}, "unknown embedding kind"),
-    ({"epsilon": 0.0}, "epsilon must lie in"),
-    ({"epsilon": 1.0}, "epsilon must lie in"),
     ({"k": 0}, "k must be >= 1"),
     ({"restarts": 0}, "restarts must be >= 1"),
-    ({"max_rounds": -1}, "max_rounds must be >= 0"),
     ({"jobs": 0}, "jobs must be >= 1"),
     # counts must be integers, checked here rather than deep inside a stage
     ({"k": 2.5}, "k must be an integer"),
     ({"restarts": 2.5}, "restarts must be an integer"),
-    ({"max_rounds": 1.5}, "max_rounds must be an integer"),
     ({"jobs": 1.5}, "jobs must be an integer"),
     # the solver fields are still checked
     ({"tol": 5.0}, "tol must lie in"),
@@ -49,6 +45,11 @@ def test_echo_keys_do_not_depend_on_momentum():
     ({"max_iter": 0}, "max_iter must be >= 1"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"seed": 0.5}, "seed must be an integer"),
+    # momentum picks the solver, so only a bool may set it
+    ({"momentum": "no"}, "momentum must be a bool"),
+    ({"momentum": 0.0}, "momentum must be a bool"),
+    ({"momentum": 1}, "momentum must be a bool"),
+    ({"momentum": None}, "momentum must be a bool"),
 ])
 def test_config_rejects_bad_settings_when_built(setting, match):
     with pytest.raises(ValueError, match=match):
@@ -56,7 +57,7 @@ def test_config_rejects_bad_settings_when_built(setting, match):
 
 
 def test_config_accepts_boundary_settings():
-    PipelineConfig(k=1, restarts=1, max_rounds=0, jobs=1, seed=0, max_iter=1, d0=2)
+    PipelineConfig(k=1, restarts=1, jobs=1, seed=0, max_iter=1, d0=2, momentum=np.bool_(False))
     PipelineConfig(d0=np.int64(10), k=np.int32(4), seed=np.uint64(7))  # numpy integers are counts
     PipelineConfig(descriptor="normlap", embedding_kind="ellipsoidal", jobs=None)
 
