@@ -47,8 +47,7 @@ def _add_embed_options(p):
                    default=DEFAULTS["momentum"], help="use the momentum solver")
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"], help="run seed")
     p.add_argument("--embedding-kind", choices=["spherical", "ellipsoidal"],
-                   default=DEFAULTS["embedding_kind"],
-                   help="coordinate system for the embedding CSV")
+                   default="spherical", help="coordinate system for the embedding CSV only")
     p.add_argument("--trace-delta", action="store_true",
                    help="add the criticality column to the trace CSV "
                         "(plain solver only, --no-momentum)")

@@ -36,9 +36,9 @@ class PlantedPartitionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count(self, "n", 2)
-        _check_count(self, "k", 1)
-        _check_count(self, "seed", 0)
+        _check_count("n", self.n, 2)
+        _check_count("k", self.k, 1)
+        _check_count("seed", self.seed, 0)
         if self.k > self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}")
         if not 0.0 <= self.p_out <= self.p_in <= 1.0:

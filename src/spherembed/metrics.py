@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# which mean of the two entropies normalizes the mutual information
-NMI_NORMALIZATION = "arithmetic"
 # nodes whose CSR rows modularity compares per block; all rows at once take
 # several 2m-long arrays (12 MB each at 100k nodes of mean degree 15)
 BLOCK_NODES = 4096
@@ -101,10 +99,9 @@ class RunSummary:
     solver: dict = None
     embedding: dict = None
     partition: dict = None
-    schema_version: int = 1
 
     def to_dict(self):
-        out = {"schema_version": self.schema_version, "graph": self.graph}
+        out = {"schema_version": 1, "graph": self.graph}
         for key in ("config", "solver", "embedding", "partition"):
             value = getattr(self, key)
             if value is not None:
@@ -130,6 +127,7 @@ def summarize(graph, config=None, solve_result=None, embedding=None,
             "converged": bool(solve_result.converged),
             "objective": float(solve_result.objective),
             "delta_criterion": float(solve_result.delta),
+            "relgrad": float(solve_result.relgrad),
         }
         if not np.isfinite(solve_result.objective):
             raise ValueError("non-finite solver objective")

@@ -145,7 +145,7 @@ class ShiftedOperator:
         n, index = base.n, base.graph.adjacency.indices.dtype
         # row i of the addend holds (i, i, v_i - M_ii) and (i, n, -u_i)
         plus = sparse.csr_matrix(
-            (np.column_stack([self.shift - base.diagonal(), -base._u]).ravel(),
+            (np.column_stack([self.diagonal_delta(), -base._u]).ravel(),
              np.column_stack([np.arange(n, dtype=index), np.full(n, n, dtype=index)]).ravel(),
              np.arange(0, 2 * n + 1, 2, dtype=index)), shape=(n, n + 1))
         self._K = base._weights(plus, products)
@@ -154,6 +154,10 @@ class ShiftedOperator:
     @property
     def n(self):
         return self.base.n
+
+    def diagonal_delta(self):
+        """v - diag M: what K adds to M's diagonal, so M X = K X - (v - diag M) X."""
+        return self.shift - self.base.diagonal()
 
     def apply(self, X):
         """K X for an n x d block, in one sparse pass.

@@ -35,6 +35,7 @@ from .graphs import _csv_text
 # name stays importable from here, where perfbench/spans.py wraps it
 from .metrics import (BLOCK_NODES, internal_degrees, modularity_from_counts,
                       modularity_of_partition)
+from .solver import _check_count
 
 # rows scored per block when assigning nodes to centroids; the scores of
 # all rows at once are an n x k matrix (80 MB at 100k x 100)
@@ -48,6 +49,8 @@ MOVED_NODES = BLOCK_NODES // 4
 # moves took 0.2 of a full recount's 20 ms at a 5% share, 0.6-0.8 at 20%,
 # and 1.0 at 25%, where the two break even
 MOVED_VOLUME_FRACTION = 0.25
+# rounds after which vp_run stops even if the modularity is still rising
+MAX_ROUNDS = 200
 
 
 @dataclass
@@ -159,12 +162,12 @@ def _moved_counts(graph, labels, assign, internal_deg):
     return internal_deg
 
 
-def vp_run(rows, graph, k, rng, max_rounds=200):
+def vp_run(rows, graph, k, rng):
     """Iterate vp_step's round until the partition modularity stops strictly increasing.
 
-    Returns the best-modularity state seen across rounds (including the
-    initial assignment). Both the objective and modularity series are kept
-    in the run history.
+    Runs at most MAX_ROUNDS rounds. Returns the best-modularity state seen
+    across rounds (including the initial assignment). Both the objective and
+    modularity series are kept in the run history.
 
     Each cluster's internal degree is carried from round to round. A round
     in which no node moves repeats the previous state. One whose moved nodes
@@ -180,7 +183,7 @@ def vp_run(rows, graph, k, rng, max_rounds=200):
                 "clusters": R.shape[0]}]
     best_labels, best_R, best_q = labels, R, q
     q_prev = q
-    for rnd in range(1, max_rounds + 1):
+    for rnd in range(1, MAX_ROUNDS + 1):
         assign = _nearest_centroids(rows, R)
         moved = assign != labels
         if moved.any():
@@ -204,22 +207,26 @@ def vp_run(rows, graph, k, rng, max_rounds=200):
                      z_tilde=z_tilde_value(best_R), modularity=best_q, history=history)
 
 
-def best_of_restarts(rows, graph, k, restarts, rng, max_rounds=200, jobs=None):
+def best_of_restarts(rows, graph, k, restarts, rng, jobs=None):
     """Run vp_run on independently seeded restarts, keeping the best objective.
 
     Each restart draws its generator from a spawned child of rng, so the
     seed tree is reproducible and restarts may run in parallel. The winner
     maximizes z_tilde, with ties broken toward the lowest restart index.
+    The counts k, restarts and jobs (None for one thread) are checked
+    before any restart runs.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    _check_count("k", k, 1)
+    _check_count("restarts", restarts, 1)
+    if jobs is not None:
+        _check_count("jobs", jobs, 1)
     rows = np.asarray(rows, dtype=float)
     if not np.isfinite(rows).all():
         raise ValueError("partition rows contain non-finite values")
     children = rng.spawn(restarts)
 
     def one(child):
-        return vp_run(rows, graph, k, child, max_rounds=max_rounds)
+        return vp_run(rows, graph, k, child)
 
     if jobs and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

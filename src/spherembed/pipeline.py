@@ -32,18 +32,15 @@ class PipelineConfig(SolverConfig):
     k: int = 100
     restarts: int = 5
     jobs: int = None
-    embedding_kind: str = "spherical"
 
     def __post_init__(self):
         super().__post_init__()
         if self.descriptor not in ("modularity", "normlap"):
             raise ValueError(f"unknown descriptor kind {self.descriptor!r}")
-        if self.embedding_kind not in ("spherical", "ellipsoidal"):
-            raise ValueError(f"unknown embedding kind {self.embedding_kind!r}")
-        _check_count(self, "k", 1)
-        _check_count(self, "restarts", 1)
+        _check_count("k", self.k, 1)
+        _check_count("restarts", self.restarts, 1)
         if self.jobs is not None:
-            _check_count(self, "jobs", 1)
+            _check_count("jobs", self.jobs, 1)
 
     def echo(self, with_partition=False):
         """Config section for the run summary; jobs never changes a result."""

@@ -19,9 +19,8 @@ import numpy as np
 from .graphs import _csv_text
 
 
-def _check_count(cfg, name, low):
-    """ValueError naming the field unless cfg.<name> is an integer >= low."""
-    value = getattr(cfg, name)
+def _check_count(name, value, low):
+    """ValueError naming the count unless value is an integer >= low."""
     try:
         count = operator.index(value)
     except TypeError:
@@ -39,13 +38,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count(self, "d0", 2)
+        _check_count("d0", self.d0, 2)
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
-        _check_count(self, "max_iter", 1)
+        _check_count("max_iter", self.max_iter, 1)
         if not isinstance(self.momentum, (bool, np.bool_)):
             raise ValueError(f"momentum must be a bool, got {self.momentum!r}")
-        _check_count(self, "seed", 0)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -55,8 +54,11 @@ class SolveResult:
     objective is always Tr(x^T K x) at the final iterate; trace holds the
     series the stopping test read, one entry per update after trace[0] =
     f(x0) (with momentum the surrogate Tr((K x_{j-1})^T x_j), not the
-    objective itself). step_norms_sq and delta_trace are recorded by the
-    plain method only.
+    objective itself). relgrad is the relative Riemannian gradient
+    ||grad|| / ||Mx|| at the final iterate, with
+    grad_i = (Mx)_i - (x_i . (Mx)_i) x_i: it is 0 exactly at a critical
+    point and, unlike delta, does not grow with n. step_norms_sq and
+    delta_trace are recorded by the plain method only.
     """
 
     x: np.ndarray
@@ -66,6 +68,7 @@ class SolveResult:
     iterations: int
     converged: bool
     method: str
+    relgrad: float = None
     step_norms_sq: np.ndarray = None
     delta_trace: np.ndarray = None
 
@@ -98,6 +101,21 @@ def first_order_criterion(k, x):
     """Delta(x) = sum_i ||(Kx)_i|| - Tr(x^T K x); zero exactly at fixed points of x -> P(Kx)."""
     y = k.apply(x)
     return float(np.sum(_row_norms(y)) - np.vdot(x, y))
+
+
+def _relative_gradient(k, x, y, spare):
+    """||grad|| / ||Mx|| at the unit-row x, from y = K x; overwrites y and spare.
+
+    M x = y - (v - diag M) x, and grad_i = (Mx)_i - (x_i . (Mx)_i) x_i
+    is the part of (Mx)_i tangent to the sphere at x_i. Both go through the
+    two n x d buffers, so no pass allocates a block.
+    """
+    mx = np.multiply(x, k.diagonal_delta()[:, None], out=spare)
+    np.subtract(y, mx, out=mx)
+    mx_norm = math.sqrt(np.vdot(mx, mx))
+    radial = np.multiply(x, np.einsum("ij,ij->i", x, mx)[:, None], out=y)
+    grad = np.subtract(mx, radial, out=mx)
+    return math.sqrt(np.vdot(grad, grad)) / mx_norm if mx_norm > 0 else 0.0
 
 
 def _initial_point(k, cfg, rng, x0):
@@ -136,6 +154,9 @@ def solve(k, cfg, rng=None, x0=None):
     allocates: the plain method projects K x_{j-1} in place, so k.apply
     must return a new array, and momentum builds z_j in a spare buffer
     that swaps roles with the iterate every update.
+
+    Once the loop ends, relgrad costs a few more such passes, through the
+    last K x and the spare buffer; it reads k.diagonal_delta().
 
     Stops once the relative change of that series drops below cfg.tol
     (tested from the second update on) or after cfg.max_iter updates, in
@@ -191,6 +212,7 @@ def solve(k, cfg, rng=None, x0=None):
     return SolveResult(x=x, objective=f, delta=delta,
                        trace=np.array(trace), iterations=j, converged=converged,
                        method="gpm" if plain else "gpmm",
+                       relgrad=_relative_gradient(k, x, y, spare),
                        step_norms_sq=np.array(steps) if plain else None,
                        delta_trace=np.array(deltas) if plain else None)
 

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
-import ctypes
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,8 +22,8 @@ PIPELINE_FILES = EMBED_FILES + ["partition.csv", "run_log.json"]
 # the summary's config section under default flags, spelled out so that a
 # change to the config's fields shows here as a change to summary.json
 DEFAULT_EMBED_CONFIG = {
-    "d0": 30, "descriptor": "modularity", "embedding_kind": "spherical", "max_iter": 10000,
-    "momentum": True, "seed": 0, "tol": 1e-08,
+    "d0": 30, "descriptor": "modularity", "max_iter": 10000, "momentum": True, "seed": 0,
+    "tol": 1e-08,
 }
 DEFAULT_PARTITION_CONFIG = {**DEFAULT_EMBED_CONFIG, "k": 100, "restarts": 5}
 
@@ -114,7 +116,8 @@ def test_removed_solver_flags_are_usage_errors(tmp_path, k3_file, command, flag,
 
 
 # options that steer the command rather than the computation
-CLI_ONLY = {"input", "output_dir", "timings", "trace_delta", "truth", "embedding", "pipeline"}
+CLI_ONLY = {"input", "output_dir", "timings", "trace_delta", "embedding_kind", "truth",
+            "embedding", "pipeline"}
 PARTITION_ONLY = {"k", "restarts", "jobs"}
 
 
@@ -488,22 +491,61 @@ def test_ellipsoidal_embedding_kind(tmp_path, barbell_file):
     assert not np.allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-6)
 
 
-class _MallInfo2(ctypes.Structure):
+def test_embedding_kind_changes_only_the_embedding_csv(tmp_path):
+    # the partition reads the spherical rows whichever rows the CSV gets
+    graph, _ = generate_planted_partition(
+        PlantedPartitionSpec(n=120, k=3, p_in=0.3, p_out=0.02, seed=1))
+    edges = tmp_path / "planted.txt"
+    edges.write_text(write_edge_list(graph))
+    for kind in ("spherical", "ellipsoidal"):
+        rc = cli.main(["partition", "--input", str(edges), "--pipeline", "--d0", "8",
+                       "--embedding-kind", kind, "--output-dir", str(tmp_path / kind)])
+        assert rc == 0
+    sph, ell = tmp_path / "spherical", tmp_path / "ellipsoidal"
+    for name in PIPELINE_FILES:
+        if name != "embedding.csv":
+            assert (sph / name).read_bytes() == (ell / name).read_bytes(), name
+    assert (sph / "embedding.csv").read_bytes() != (ell / "embedding.csv").read_bytes()
+
+
+# run in a fresh interpreter: free chunks that earlier tests left in this
+# process's heap could serve the block without a new mapping
+MMAP_CHECK = """
+import ctypes
+import sys
+
+import numpy as np
+
+from spherembed import cli
+
+
+class MallInfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
         "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
         "uordblks", "fordblks", "keepcost")]
 
 
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    sys.exit(77)
+libc.mallinfo2.restype = MallInfo2
+# freeing a mapped 16 MiB block raises glibc's adaptive threshold past 2 MiB
+del_me = np.ones(16 << 20, dtype=np.uint8)
+del del_me
+assert cli.main(["embed", "--input", sys.argv[1], "--output-dir", sys.argv[2]]) == 0
+mapped = libc.mallinfo2().hblks
+block = np.ones(2 << 20, dtype=np.uint8)
+assert libc.mallinfo2().hblks == mapped + 1  # mapped, not carved from the heap
+assert block.sum() == 2 << 20
+"""
+
+
 def test_large_blocks_get_their_own_mapping_after_a_command(tmp_path, k3_file):
-    libc = ctypes.CDLL(None)
-    if not hasattr(libc, "mallinfo2"):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", MMAP_CHECK, k3_file, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    if proc.returncode == 77:
         pytest.skip("needs glibc's mallinfo2")
-    libc.mallinfo2.restype = _MallInfo2
-    # freeing a mapped 16 MiB block raises glibc's adaptive threshold past 2 MiB
-    del_me = np.ones(16 << 20, dtype=np.uint8)
-    del del_me
-    assert cli.main(["embed", "--input", k3_file, "--output-dir", str(tmp_path)]) == 0
-    mapped = libc.mallinfo2().hblks
-    block = np.ones(2 << 20, dtype=np.uint8)
-    assert libc.mallinfo2().hblks == mapped + 1  # mapped, not carved from the heap
-    assert block.sum() == 2 << 20
+    assert proc.returncode == 0, proc.stderr

@@ -187,6 +187,30 @@ def test_best_of_restarts_indexing(rng, barbell):
         best_of_restarts(rows, barbell, 3, 0, np.random.default_rng(9))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("k", 2.5), ("k", 0), ("restarts", 2.5), ("restarts", 0), ("jobs", 1.5), ("jobs", 0),
+])
+def test_best_of_restarts_checks_its_counts_before_any_restart(rng, barbell, monkeypatch,
+                                                               name, value):
+    def restart(*args):
+        raise AssertionError("a restart ran")
+
+    monkeypatch.setattr(partition_module, "vp_run", restart)
+    counts = {"k": 3, "restarts": 2, "jobs": None, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        best_of_restarts(unit_rows(rng, 6, 3), barbell, counts["k"], counts["restarts"],
+                         np.random.default_rng(9), jobs=counts["jobs"])
+
+
+def test_vp_run_stops_at_the_round_cap(monkeypatch):
+    graph, rows = planted_rows(300, 5, 3)
+    full = vp_run(rows, graph, 60, np.random.default_rng(1))
+    assert len(full.history) > 3  # more rounds than the cap below
+    monkeypatch.setattr(partition_module, "MAX_ROUNDS", 2)
+    capped = vp_run(rows, graph, 60, np.random.default_rng(1))
+    assert capped.history == full.history[:3]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_best_of_restarts_rejects_non_finite_rows(rng, barbell, bad):
     rows = unit_rows(rng, 6, 3)

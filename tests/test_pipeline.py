@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from spherembed import (PipelineConfig, nmi, run_embedding, run_partition,
-                        run_pipeline, seed_tree)
+from spherembed import (PipelineConfig, PlantedPartitionSpec, generate_planted_partition, nmi,
+                        run_embedding, run_partition, run_pipeline, seed_tree)
 
 
 def test_config_echo_embed_only():
@@ -29,7 +29,6 @@ def test_echo_keys_do_not_depend_on_momentum():
 
 @pytest.mark.parametrize("setting, match", [
     ({"descriptor": "laplacian"}, "unknown descriptor kind"),
-    ({"embedding_kind": "polar"}, "unknown embedding kind"),
     ({"k": 0}, "k must be >= 1"),
     ({"restarts": 0}, "restarts must be >= 1"),
     ({"jobs": 0}, "jobs must be >= 1"),
@@ -59,7 +58,7 @@ def test_config_rejects_bad_settings_when_built(setting, match):
 def test_config_accepts_boundary_settings():
     PipelineConfig(k=1, restarts=1, jobs=1, seed=0, max_iter=1, d0=2, momentum=np.bool_(False))
     PipelineConfig(d0=np.int64(10), k=np.int32(4), seed=np.uint64(7))  # numpy integers are counts
-    PipelineConfig(descriptor="normlap", embedding_kind="ellipsoidal", jobs=None)
+    PipelineConfig(descriptor="normlap", jobs=None)
 
 
 def test_seed_tree_matches_spawn_layout():
@@ -93,6 +92,7 @@ def test_pipeline_summary_sections(barbell):
                         "schema_version"}
     assert doc["partition"]["n_c"] == part.n_clusters
     assert doc["solver"]["objective"] == result.objective
+    assert doc["solver"]["relgrad"] == result.relgrad
     assert doc["embedding"]["d_eff"] == emb.d_eff
 
 
@@ -124,3 +124,12 @@ def test_pipeline_hashes_graph_once(barbell, monkeypatch):
     _, _, _, summary = run_pipeline(barbell, PipelineConfig(d0=4, k=2, restarts=1))
     assert calls == [barbell]
     assert summary.graph["hash"] == hash_of(barbell)
+
+
+def test_relgrad_shows_the_early_stop_at_n_2000():
+    # the relative-change stop passes at update 2 on 2 000 nodes, far from critical
+    spec = PlantedPartitionSpec(n=2000, k=10, p_in=12 / 199, p_out=3 / 1800, seed=1)
+    graph, _ = generate_planted_partition(spec)
+    result, _ = run_embedding(graph, PipelineConfig(d0=10))
+    assert result.converged
+    assert result.relgrad > 0.5

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import (REFERENCE_DESCRIPTORS, ReferenceShiftedOperator, dense_adjacency,
-                     dense_criterion, dense_modularity_matrix, dense_objective, dense_shifted,
-                     random_connected_graph, reference_solve)
+                     dense_criterion, dense_laplacian_descriptor, dense_modularity_matrix,
+                     dense_objective, dense_shifted, random_connected_graph, reference_solve)
 from spherembed import (PlantedPartitionSpec, ShiftedOperator, SolverConfig,
                         first_order_criterion, generate_planted_partition, make_descriptor,
                         objective, project_rows, solve)
@@ -88,6 +88,25 @@ def test_gpm_fixed_point_start_terminates_immediately(barbell):
     assert res.iterations == 2
     assert np.allclose(res.x, x0, atol=1e-12)
     assert first_order_criterion(op, x0) < 1e-12
+    assert res.relgrad < 1e-12
+
+
+def dense_relgrad(M, x):
+    mx = M @ x
+    grad = mx - np.sum(x * mx, axis=1, keepdims=True) * x
+    return np.linalg.norm(grad) / np.linalg.norm(mx)
+
+
+@pytest.mark.parametrize("method", [False, True], ids=["gpm", "gpmm"])
+@pytest.mark.parametrize("kind, dense", [("modularity", dense_modularity_matrix),
+                                         ("normlap", dense_laplacian_descriptor)])
+def test_relgrad_matches_dense_oracle(rng, kind, dense, method):
+    for max_iter in (1, 4, 10000):
+        g = random_connected_graph(rng, 30, extra_edges=40)
+        res = solve(shifted_op(g, kind),
+                    SolverConfig(d0=5, seed=2, max_iter=max_iter, momentum=method))
+        want = dense_relgrad(dense(dense_adjacency(g)), res.x)
+        assert res.relgrad == pytest.approx(want, rel=1e-10)
 
 
 def test_max_iter_exhaustion_flags_not_converged(barbell):
@@ -134,6 +153,9 @@ class CountingOperator:
 
     def sample_columns(self, d, rng):
         return self.op.sample_columns(d, rng)
+
+    def diagonal_delta(self):
+        return self.op.diagonal_delta()
 
 
 METHODS = [dict(momentum=False), dict(momentum=True)]
