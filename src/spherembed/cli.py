@@ -31,6 +31,9 @@ OUTPUT_DIR_ENV = "SPHEREMBED_OUTPUT_DIR"
 DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 M_MMAP_THRESHOLD = -3  # mallopt(3) parameter number in glibc's malloc.h
 MMAP_THRESHOLD = 1 << 20
+# a final relgrad above this marks a stop far from critical: healthy runs on
+# planted graphs read below 0.05, the early stops at n >= 2 000 near 0.6
+RELGRAD_WARNING = 0.1
 
 
 def _add_embed_options(p):
@@ -143,6 +146,14 @@ def _embedding_outputs(outdir, args, graph, result, embedding):
     ]
 
 
+def _warn_if_far_from_critical(result):
+    """One stderr line when the solver stopped with relgrad above RELGRAD_WARNING."""
+    if result.relgrad > RELGRAD_WARNING:
+        print(f"warning: the solver stopped far from a critical point (relgrad "
+              f"{result.relgrad:.3g} > {RELGRAD_WARNING}); the embedding may be poor",
+              file=sys.stderr)
+
+
 def cmd_embed(args):
     outdir = _output_dir(args)
     cfg = _config_from(args)
@@ -154,6 +165,7 @@ def cmd_embed(args):
     elapsed = time.perf_counter() - t0
     _write_all(_embedding_outputs(outdir, args, graph, result, embedding)
                + [(outdir / "summary.json", write_summary_json(summary))])
+    _warn_if_far_from_critical(result)
     if args.timings:
         print(f"embed stage: {elapsed:.3f}s", file=sys.stderr)
     return 0
@@ -167,7 +179,8 @@ def cmd_partition(args):
     graph = load_edge_list(args.input)
     truth = None
     if args.truth:
-        truth = load_ground_truth(args.truth, graph)
+        # the loader kept only the largest component: skip truth lines of the nodes it cut
+        truth = load_ground_truth(args.truth, graph, ignore_extra=True)
 
     outputs = []
     t0 = time.perf_counter()
@@ -190,6 +203,8 @@ def cmd_partition(args):
         (outdir / "run_log.json", write_run_log(part)),
         (outdir / "summary.json", write_summary_json(summary)),
     ])
+    if args.pipeline:
+        _warn_if_far_from_critical(result)
     if args.timings:
         print(f"partition stage: {elapsed:.3f}s", file=sys.stderr)
     return 0

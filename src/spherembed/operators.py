@@ -15,9 +15,10 @@ formed. Non-neighbour entries of M are -u_i u_k <= 0, which gives the
 absolute off-diagonal row sums in O(deg(i)) per row.
 
 The shifted operator replaces the diagonal of M with
-v_i = 1 + eps + sum_{k != i} |M_ik|, making K strictly diagonally dominant
-with dominance margin >= 1 + eps, hence positive definite; applying K to
-unit-row blocks expands every row norm above 1.
+v_i = 1 + sum_{k != i} |M_ik|, making K strictly diagonally dominant with
+dominance margin 1, hence positive definite; applying K to unit-row blocks
+expands every row norm above 1. ShiftedOperator is the one place this
+shift is defined.
 """
 
 import numpy as np
@@ -116,16 +117,17 @@ def make_descriptor(graph, kind):
     return DescriptorOperator(graph, kind, s, u)
 
 
-def diagonal_shift_vector(op, epsilon=0.0):
-    """Shift vector v_i = 1 + epsilon + sum_{k != i} |M_ik|."""
-    return 1.0 + epsilon + op.offdiagonal_abs_sums()
+def diagonal_shift_vector(op):
+    """Shift vector v_i = 1 + sum_{k != i} |M_ik|: ShiftedOperator(op).shift."""
+    return ShiftedOperator(op).shift
 
 
 class ShiftedOperator:
     """The iteration matrix K: off-diagonal of M with diagonal replaced by v.
 
-    K_ij = M_ij for i != j and K_ii = v_i = 1 + eps + sum_{k != i} |M_ik|,
-    so K_ii - sum_{k != i} |K_ik| = 1 + eps > 0 for every row.
+    K_ij = M_ij for i != j and K_ii = v_i = 1 + sum_{k != i} |M_ik|,
+    so K_ii - sum_{k != i} |K_ik| = 1 > 0 for every row: a dominance
+    margin of 1.
 
     K = W + diag(v - diag M) - u u^T is kept as one n x (n + 1) CSR matrix
     [W + diag(v - diag M), -u]: the diagonal folded into W's rows and the
@@ -134,14 +136,11 @@ class ShiftedOperator:
     pattern the operator keeps.
     """
 
-    def __init__(self, base, epsilon=0.0):
-        if epsilon < 0:
-            raise ValueError("shift epsilon must be non-negative")
+    def __init__(self, base):
         self.base = base
-        self.epsilon = float(epsilon)
         # s_i s_k on every edge, formed once: a term of the shift and W's values
         products = base._edge_products(base._s)
-        self.shift = 1.0 + self.epsilon + base.offdiagonal_abs_sums(products)
+        self.shift = 1.0 + base.offdiagonal_abs_sums(products)
         n, index = base.n, base.graph.adjacency.indices.dtype
         # row i of the addend holds (i, i, v_i - M_ii) and (i, n, -u_i)
         plus = sparse.csr_matrix(

@@ -16,7 +16,6 @@ from scipy.sparse import csgraph
 from spherembed import EdgeListError, Graph, load_edge_list
 from spherembed.graphs import _read_utf8
 from spherembed.metrics import modularity_of_partition
-from spherembed.operators import diagonal_shift_vector
 from spherembed.partition import Partition, _compact, init_centroids, vp_step, z_tilde_value
 from spherembed.plotting import MARGIN, PALETTE, PANEL
 from spherembed.solver import SolveResult
@@ -665,7 +664,8 @@ class ReferenceShiftedOperator:
             raise ValueError("shift epsilon must be non-negative")
         self.base = base
         self.epsilon = float(epsilon)
-        self.shift = diagonal_shift_vector(base, epsilon)
+        # the reference descriptor's own absolute row sums, not the package's shift
+        self.shift = 1.0 + self.epsilon + base.offdiagonal_abs_sums()
         # applying M then correcting the diagonal in place implements the
         # replacement K = M - diag(M) + diag(v)
         self._diag_delta = self.shift - base.diagonal()

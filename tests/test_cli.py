@@ -216,6 +216,61 @@ def test_partition_with_ground_truth_nmi(tmp_path, barbell_file):
     assert summary["partition"]["nmi"] == pytest.approx(1.0, abs=1e-9)
 
 
+# two triangles joined by an edge, and a separate edge the loader cuts away
+CUT_COMPONENT_EDGES = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (10, 11)]
+
+
+def test_partition_truth_skips_nodes_outside_the_kept_component(tmp_path):
+    edges = write_edges(tmp_path / "edges.txt", CUT_COMPONENT_EDGES)
+    truth = tmp_path / "truth.txt"
+    truth.write_text("0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n10 2\n11 2\n")
+    out = tmp_path / "out"
+    rc = cli.main(["partition", "--pipeline", "--input", edges, "--d0", "3", "--k", "2",
+                   "--truth", str(truth), "--output-dir", str(out)])
+    assert rc == 0
+    summary = read_json(out / "summary.json")
+    assert summary["graph"]["n"] == 6
+    assert summary["partition"]["nmi"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_partition_truth_missing_a_kept_node_exits_2(tmp_path, capsys):
+    edges = write_edges(tmp_path / "edges.txt", CUT_COMPONENT_EDGES)
+    truth = tmp_path / "truth.txt"
+    truth.write_text("0 0\n1 0\n2 0\n3 1\n4 1\n10 2\n11 2\n")
+    rc = cli.main(["partition", "--pipeline", "--input", edges, "--d0", "3", "--k", "2",
+                   "--truth", str(truth), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "missing community labels for 1 nodes (first: 5)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n, warns", [(None, False), (300, False), (2000, True)],
+                         ids=["barbell", "planted-300", "planted-2000"])
+@pytest.mark.parametrize("command", [["embed"], ["partition", "--pipeline"]],
+                         ids=["embed", "pipeline"])
+def test_far_from_critical_stop_warns_on_stderr(tmp_path, capsys, command, n, warns):
+    # at n = 2 000 with d0 = 10 the relative-change stop passes at update 2,
+    # relgrad near 0.6; the barbell and 300 nodes run on to near-critical points
+    if n is None:
+        edges = write_edges(tmp_path / "edges.txt", BARBELL_EDGES)
+    else:
+        graph, _ = generate_planted_partition(PlantedPartitionSpec(
+            n=n, k=10, p_in=12 / (n // 10 - 1), p_out=3 / (n - n // 10), seed=1))
+        edges = tmp_path / "edges.txt"
+        edges.write_text(write_edge_list(graph))
+    out = tmp_path / "out"
+    rc = cli.main([*command, "--input", str(edges), "--d0", "10", "--output-dir", str(out)])
+    assert rc == 0
+    relgrad = read_json(out / "summary.json")["solver"]["relgrad"]
+    assert (relgrad > cli.RELGRAD_WARNING) == warns
+    err = capsys.readouterr().err
+    if warns:
+        assert err == ("warning: the solver stopped far from a critical point "
+                       f"(relgrad {relgrad:.3g} > 0.1); the embedding may be poor\n")
+    else:
+        assert err == ""
+
+
 def test_partition_deterministic_bytes(tmp_path, barbell_file):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -57,24 +57,15 @@ def test_single_edge_shifted_matrix(single_edge):
 def test_shift_vector_single_edge(single_edge):
     v = diagonal_shift_vector(make_descriptor(single_edge, "modularity"))
     assert np.allclose(v, [1.25, 1.25])
-    v2 = diagonal_shift_vector(make_descriptor(single_edge, "modularity"), epsilon=0.5)
-    assert np.allclose(v2, [1.75, 1.75])
-
-
-def test_negative_shift_epsilon_rejected(single_edge):
-    with pytest.raises(ValueError):
-        ShiftedOperator(make_descriptor(single_edge, "modularity"), epsilon=-0.1)
 
 
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
 def test_shifted_apply_replaces_diagonal(rng, kind):
-    for eps in (0.0, 0.3):
-        g = random_connected_graph(rng, 15, extra_edges=10)
-        A = dense_adjacency(g)
-        K = dense_shifted(dense_descriptor(A, kind), eps)
-        op = ShiftedOperator(make_descriptor(g, kind), epsilon=eps)
-        X = rng.standard_normal((g.n, 4))
-        assert np.allclose(op.apply(X), K @ X, atol=1e-12)
+    g = random_connected_graph(rng, 15, extra_edges=10)
+    K = dense_shifted(dense_descriptor(dense_adjacency(g), kind))
+    op = ShiftedOperator(make_descriptor(g, kind))
+    X = rng.standard_normal((g.n, 4))
+    assert np.allclose(op.apply(X), K @ X, atol=1e-12)
 
 
 @pytest.mark.parametrize("shifted", [False, True], ids=["descriptor", "shifted"])
@@ -198,20 +189,19 @@ def test_shifted_matches_reference_shifted_on_planted_graph(kind):
 
 
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
-@pytest.mark.parametrize("epsilon", [0.0, 0.25])
-def test_shifted_build_matches_reference_bytes(kind, epsilon):
+def test_shifted_build_matches_reference_bytes(kind):
     """One array of edge products serves the shift and W: K is unchanged, byte for byte."""
     spec = PlantedPartitionSpec(n=2000, k=10, p_in=12 / 199, p_out=3 / 1800, seed=5)
     g, _ = generate_planted_partition(spec)
     base = make_descriptor(g, kind)
-    op = ShiftedOperator(base, epsilon)
-    shift, K = reference_shifted_matrix(base, epsilon)
+    op = ShiftedOperator(base)
+    shift, K = reference_shifted_matrix(base)
     assert op.shift.tobytes() == shift.tobytes()
     assert op._K.shape == K.shape
     for got, want in ((op._K.data, K.data), (op._K.indices, K.indices),
                       (op._K.indptr, K.indptr)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert diagonal_shift_vector(base, epsilon).tobytes() == shift.tobytes()
+    assert diagonal_shift_vector(base).tobytes() == shift.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])

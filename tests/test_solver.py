@@ -189,6 +189,34 @@ def test_nonfinite_iterate_fails_fast(rng, method):
     assert counting.applies <= 2
 
 
+class ScriptedOperator:
+    """Returns the scripted images K x in turn, whatever x is."""
+
+    def __init__(self, images):
+        self.images = [np.array(y, dtype=float) for y in images]
+        self.n = len(self.images[0])
+
+    def apply(self, x):
+        return self.images.pop(0)
+
+    def diagonal_delta(self):
+        return np.zeros(self.n)
+
+
+def test_momentum_zero_row_falls_back_to_power_row():
+    # row 0 of K x_1 is one fifth of K x_0's, so at update 2, where r = 1/4,
+    # z = K x_1 + (K x_1 - K x_0) / 4 is exactly zero in row 0
+    y0 = np.array([[15.0, 20.0], [1.0, 0.0], [0.0, 1.0]])
+    y1 = np.array([[3.0, 4.0], [0.0, 1.0], [1.0, 1.0]])
+    op = ScriptedOperator([y0, y1, y1])
+    res = solve(op, SolverConfig(d0=2, max_iter=2), x0=project_rows(np.ones((3, 2))))
+    assert res.iterations == 2
+    np.testing.assert_array_equal(res.x[0], y1[0] / 5.0)  # P(K x_1), the power-iteration row
+    z = y1 + (y1 - y0) / 4
+    np.testing.assert_allclose(res.x[1:], project_rows(z[1:]), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(res.x, axis=1), 1.0, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("method", METHODS, ids=METHOD_IDS)
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
 def test_matches_reference_solver_on_planted_graph(kind, method):
