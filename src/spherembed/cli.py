@@ -7,8 +7,6 @@ none of them, so failed runs leave no partial outputs. Exit codes:
 """
 
 import argparse
-import ctypes
-import functools
 import json
 import os
 import sys
@@ -23,14 +21,13 @@ from .graphs import EdgeListError, _csv_rows, load_edge_list, load_ground_truth
 from .metrics import nmi as nmi_metric
 from .metrics import summarize, write_summary_json
 from .partition import write_partition_csv, write_run_log
-from .pipeline import PipelineConfig, run_embedding, run_partition, run_pipeline
+from .pipeline import (PipelineConfig, _fix_mmap_threshold, run_embedding, run_partition,
+                       run_pipeline)
 from .plotting import render_scatter_svg
 from .solver import write_trace_csv
 
 OUTPUT_DIR_ENV = "SPHEREMBED_OUTPUT_DIR"
 DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
-M_MMAP_THRESHOLD = -3  # mallopt(3) parameter number in glibc's malloc.h
-MMAP_THRESHOLD = 1 << 20
 # a final relgrad above this marks a stop far from critical: healthy runs on
 # planted graphs read below 0.05, the early stops at n >= 2 000 near 0.6
 RELGRAD_WARNING = 0.1
@@ -243,26 +240,6 @@ def cmd_plot(args):
 
 
 HANDLERS = {"embed": cmd_embed, "partition": cmd_partition, "plot": cmd_plot}
-
-
-@functools.cache
-def _fix_mmap_threshold():
-    """Give every block of MMAP_THRESHOLD bytes or more its own mapping (glibc).
-
-    glibc raises its mmap threshold each time it frees a mapped block, up to
-    32 MiB, and from then on serves the multi-megabyte numpy temporaries of
-    loading, solving and partitioning from its heap. Whether the heap hands
-    that memory back or keeps it resident then turns on the heap's layout: the
-    peak RSS of the same partition command on the same 100k-node inputs was
-    either about 370 MB or about 465 MB from one process to the next. A fixed
-    threshold stops the adjustment, so freed large blocks go straight back to
-    the system and the peak is the same in every run.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # a C library without mallopt
-        return
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
 def main(argv=None):

@@ -23,6 +23,7 @@ shift is defined.
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 
 def _check_block(X, n):
@@ -149,6 +150,7 @@ class ShiftedOperator:
              np.arange(0, 2 * n + 1, 2, dtype=index)), shape=(n, n + 1))
         self._K = base._weights(plus, products)
         self._u = base._u
+        self._extended = None  # apply's (n + 1) x d block, kept while d stays the same
 
     @property
     def n(self):
@@ -158,21 +160,39 @@ class ShiftedOperator:
         """v - diag M: what K adds to M's diagonal, so M X = K X - (v - diag M) X."""
         return self.shift - self.base.diagonal()
 
-    def apply(self, X):
+    def apply(self, X, out=None):
         """K X for an n x d block, in one sparse pass.
 
         The block gets the extra row u^T X, so the product applies W, the
         shifted diagonal and the rank-one term together: O((n + m) d) for
-        the product plus one O(n d) copy of X. The result is a new array.
+        the product plus one O(n d) copy of X into the (n + 1)-row extended
+        block, which the operator keeps between calls (so one operator must
+        not be applied from two threads at once). out, when given, is a
+        C-contiguous n x d float array that receives K X and is returned; it
+        may be X itself. Without out the result is a new array. Either way
+        the product is scipy's csr_matvecs, the kernel of K @ block, so both
+        give the same bits.
         """
-        return self._product(_check_block(X, self.n))
+        X = _check_block(X, self.n)
+        if out is None:
+            out = np.empty(X.shape)
+        elif out.shape != X.shape or out.dtype != float or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float array of shape {X.shape}")
+        return self._product(X, out)
 
-    def _product(self, X):
-        """apply for a block already known to be an n x d float array."""
-        extended = np.empty((self.n + 1, X.shape[1]))
+    def _product(self, X, out):
+        """apply for an n x d float block X and a checked out."""
+        n, d = X.shape
+        extended = self._extended
+        if extended is None or extended.shape[1] != d:
+            extended = self._extended = np.empty((n + 1, d))
         extended[:-1] = X
         np.dot(self._u, X, out=extended[-1])
-        return self._K @ extended
+        out.fill(0.0)
+        K = self._K
+        _sparsetools.csr_matvecs(n, n + 1, d, K.indptr, K.indices, K.data,
+                                 extended.ravel(), out.ravel())
+        return out
 
     def sample_columns(self, count, rng):
         """Materialize `count` uniformly sampled columns of K, without replacement."""
@@ -182,7 +202,7 @@ class ShiftedOperator:
         idx = rng.choice(n, size=count, replace=False)
         E = np.zeros((n, count))
         E[idx, np.arange(count)] = 1.0
-        C = self._product(E)
+        C = self._product(E, out=E)  # E is copied into the extended block first
         # K's diagonal went through v_i + u_i^2 - u_i^2; set it to v_i exactly
         C[idx, np.arange(count)] = self.shift[idx]
         return C

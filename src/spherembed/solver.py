@@ -22,6 +22,8 @@ from .graphs import _csv_text
 def _check_count(name, value, low):
     """ValueError naming the count unless value is an integer >= low."""
     try:
+        if isinstance(value, (bool, np.bool_)):  # operator.index(True) is 1
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -73,9 +75,10 @@ class SolveResult:
     delta_trace: np.ndarray = None
 
 
-def _row_norms(X):
-    """2-norm of every row of X, in one pass over X."""
-    return np.sqrt(np.einsum("ij,ij->i", X, X))
+def _row_norms(X, out=None):
+    """2-norm of every row of X, in one pass over X; written to out if given."""
+    out = np.einsum("ij,ij->i", X, X, out=out)
+    return np.sqrt(out, out=out)
 
 
 def project_rows(X, norms=None, out=None):
@@ -87,7 +90,7 @@ def project_rows(X, norms=None, out=None):
     X = np.asarray(X, dtype=float)
     if norms is None:
         norms = _row_norms(X)
-    if (norms == 0.0).any():
+    if not norms.all():  # a zero norm, without an n-long mask
         raise ValueError("cannot project a zero row onto the sphere")
     return np.divide(X, norms[:, None], out=out)
 
@@ -120,7 +123,7 @@ def _relative_gradient(k, x, y, spare):
 
 def _initial_point(k, cfg, rng, x0):
     if x0 is not None:
-        return np.array(x0, dtype=float, copy=True)
+        return np.array(x0, dtype=float, order="C", copy=True)
     return project_rows(k.sample_columns(cfg.d0, rng))
 
 
@@ -150,13 +153,19 @@ def solve(k, cfg, rng=None, x0=None):
 
     Beyond the apply, an update makes a few dense O(n d0) passes: z_j (with
     momentum), the row norms, the projection and one inner product, plus
-    the step norm and the next row norms for the plain method. No pass
-    allocates: the plain method projects K x_{j-1} in place, so k.apply
-    must return a new array, and momentum builds z_j in a spare buffer
-    that swaps roles with the iterate every update.
+    the step norm and the next row norms for the plain method.
+
+    No update allocates. The loop holds three n x d0 blocks and one n-long
+    vector of row norms, made once per call. The blocks hold the iterate
+    x_{j-1}, its image K x_{j-1} and, in the third, K x_{j-2} (momentum
+    only); update j writes z_j (momentum only) and then x_j into the third,
+    and K x_j into x_{j-1}'s block through k.apply(x_j, out=that block). So
+    k.apply(X, out=B) must write K X into B and return B, and k.apply(X)
+    must return a new array. The result's x is one of the three blocks, so
+    no later call shares it.
 
     Once the loop ends, relgrad costs a few more such passes, through the
-    last K x and the spare buffer; it reads k.diagonal_delta().
+    last K x and the third block; it reads k.diagonal_delta().
 
     Stops once the relative change of that series drops below cfg.tol
     (tested from the second update on) or after cfg.max_iter updates, in
@@ -167,14 +176,15 @@ def solve(k, cfg, rng=None, x0=None):
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     x = _initial_point(k, cfg, rng, x0)
     plain = not cfg.momentum
-    y = y_prev = k.apply(x)
+    y = k.apply(x)
+    w = np.empty(x.shape)  # the third block
     f = _finite_objective(x, y, 0)
     trace = [f]
     # the plain method reuses the row norms of Kx for the next projection
-    y_norms = _row_norms(y) if plain else None
+    norms_buffer = np.empty(len(x))
+    y_norms = _row_norms(y, out=norms_buffer) if plain else None
     deltas = [float(np.sum(y_norms) - f)] if plain else None
     steps = []
-    spare = None if plain else np.empty_like(x)  # receives z_j; x_{j-1} is spare next
     j = 0
     converged = False
     while j < cfg.max_iter:
@@ -182,37 +192,38 @@ def solve(k, cfg, rng=None, x0=None):
         r = 0.0 if plain else (j - 1) / (j + 2)
         z, norms = y, y_norms
         if r > 0:
-            z = np.subtract(y, y_prev, out=spare)
+            z = np.subtract(y, w, out=w)
             z *= r
             z += y
-            norms = _row_norms(z)
+            norms = _row_norms(z, out=norms_buffer)
             # extrapolation can in principle produce a zero row; fall back
             # to the non-extrapolated power-iteration row there
-            bad = norms == 0.0
-            if bad.any():
+            if not norms.all():
+                bad = norms == 0.0
                 z[bad] = y[bad]
                 norms = None
-        x_new = project_rows(z, norms, out=y if plain else spare)
+        if norms is None:  # momentum's first update, or rows that fell back
+            norms = _row_norms(z, out=norms_buffer)
+        x_new = project_rows(z, norms, out=w)
         if plain:
             step = np.subtract(x_new, x, out=x)  # x_{j-1} is not needed after this
             steps.append(float(np.vdot(step, step)))
         else:
             trace.append(float(np.vdot(y, x_new)))
-        x, spare, y_prev = x_new, x, y
-        y = k.apply(x)
+        x, y, w = x_new, k.apply(x_new, out=x), y
         f = _finite_objective(x, y, j)
         if plain:
-            y_norms = _row_norms(y)
+            y_norms = _row_norms(y, out=norms_buffer)
             deltas.append(float(np.sum(y_norms) - f))
             trace.append(f)
         if j >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
             converged = True
             break
-    delta = float(np.sum(_row_norms(y) if y_norms is None else y_norms) - f)
+    delta = float(np.sum(_row_norms(y, out=norms_buffer) if y_norms is None else y_norms) - f)
     return SolveResult(x=x, objective=f, delta=delta,
                        trace=np.array(trace), iterations=j, converged=converged,
                        method="gpm" if plain else "gpmm",
-                       relgrad=_relative_gradient(k, x, y, spare),
+                       relgrad=_relative_gradient(k, x, y, w),
                        step_norms_sq=np.array(steps) if plain else None,
                        delta_trace=np.array(deltas) if plain else None)
 

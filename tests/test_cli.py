@@ -2,17 +2,14 @@
 
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import BARBELL_EDGES
+from conftest import BARBELL_EDGES, CHILD_SKIP, run_child
 from oracles import reference_read_cluster_ids
 from spherembed import (PlantedPartitionSpec, cli, generate_planted_partition, graphs,
                         make_descriptor, pipeline, write_edge_list)
@@ -571,8 +568,6 @@ import sys
 
 import numpy as np
 
-from spherembed import cli
-
 
 class MallInfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
@@ -582,12 +577,12 @@ class MallInfo2(ctypes.Structure):
 
 libc = ctypes.CDLL(None)
 if not hasattr(libc, "mallinfo2"):
-    sys.exit(77)
+    sys.exit({skip})
 libc.mallinfo2.restype = MallInfo2
 # freeing a mapped 16 MiB block raises glibc's adaptive threshold past 2 MiB
 del_me = np.ones(16 << 20, dtype=np.uint8)
 del del_me
-assert cli.main(["embed", "--input", sys.argv[1], "--output-dir", sys.argv[2]]) == 0
+{run}
 mapped = libc.mallinfo2().hblks
 block = np.ones(2 << 20, dtype=np.uint8)
 assert libc.mallinfo2().hblks == mapped + 1  # mapped, not carved from the heap
@@ -596,11 +591,19 @@ assert block.sum() == 2 << 20
 
 
 def test_large_blocks_get_their_own_mapping_after_a_command(tmp_path, k3_file):
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", MMAP_CHECK, k3_file, str(tmp_path)],
-                          capture_output=True, text=True, env=env)
-    if proc.returncode == 77:
-        pytest.skip("needs glibc's mallinfo2")
-    assert proc.returncode == 0, proc.stderr
+    run = """
+from spherembed import cli
+assert cli.main(["embed", "--input", sys.argv[1], "--output-dir", sys.argv[2]]) == 0
+"""
+    run_child(MMAP_CHECK.format(skip=CHILD_SKIP, run=run), k3_file, str(tmp_path),
+              skip_reason="needs glibc's mallinfo2")
+
+
+def test_large_blocks_get_their_own_mapping_after_run_pipeline(k3_file):
+    """The library's pipeline fixes the threshold as the CLI does."""
+    run = """
+from spherembed import PipelineConfig, load_edge_list, run_pipeline
+run_pipeline(load_edge_list(sys.argv[1]), PipelineConfig())
+"""
+    run_child(MMAP_CHECK.format(skip=CHILD_SKIP, run=run), k3_file,
+              skip_reason="needs glibc's mallinfo2")

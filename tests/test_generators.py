@@ -34,6 +34,10 @@ def test_spec_validation():
     ({"k": 3.0}, "k must be an integer"),
     ({"seed": 1.5}, "seed must be an integer"),
     ({"seed": -1}, "seed must be >= 0"),
+    # a bool is not a count, though operator.index(True) == 1
+    ({"k": True}, "k must be an integer"),
+    ({"n": np.True_}, "n must be an integer"),
+    ({"seed": False}, "seed must be an integer"),
 ])
 def test_spec_rejects_non_integer_counts_when_built(setting, match):
     # checked when the spec is built, not deep inside sampling

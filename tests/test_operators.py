@@ -81,6 +81,35 @@ def test_apply_rejects_blocks_that_are_not_n_by_d(kind, shifted):
 
 
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
+def test_shifted_apply_into_out_is_bitwise_the_sparse_product(rng, kind):
+    """apply(X, out=B) gives the bits of apply(X) and of scipy's K @ [X; u^T X].
+
+    apply runs scipy's private csr_matvecs into B; a scipy release that
+    changes that kernel or its signature fails here first.
+    """
+    g = random_connected_graph(rng, 200, extra_edges=600)
+    op = ShiftedOperator(make_descriptor(g, kind))
+    for d in (3, 7, 3):  # the kept extended block changes width and back
+        X = rng.standard_normal((g.n, d))
+        public = op._K @ np.vstack([X, op._u @ X])
+        out = np.full((g.n, d), np.nan)  # apply must zero it before the product
+        assert op.apply(X, out=out) is out
+        assert out.tobytes() == public.tobytes()
+        assert op.apply(X).tobytes() == public.tobytes()
+        assert op.apply(X, out=X) is X  # out may be X itself
+        assert X.tobytes() == public.tobytes()
+
+
+def test_shifted_apply_rejects_an_out_it_cannot_fill():
+    op = ShiftedOperator(make_descriptor(make_graph([(0, 1), (1, 2), (2, 3)]), "modularity"))
+    X = np.ones((4, 2))
+    for out in (np.empty((4, 3)), np.empty((4, 2), dtype=np.float32),
+                np.empty((4, 2), order="F"), np.empty((4, 4))[:, :2]):
+        with pytest.raises(ValueError, match=r"out must be a C-contiguous float array"):
+            op.apply(X, out=out)
+
+
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
 def test_sample_columns_are_k_columns(rng, kind):
     g = random_connected_graph(rng, 12, extra_edges=8)
     K = dense_shifted(dense_descriptor(dense_adjacency(g), kind))

@@ -49,6 +49,13 @@ def test_echo_keys_do_not_depend_on_momentum():
     ({"momentum": 0.0}, "momentum must be a bool"),
     ({"momentum": 1}, "momentum must be a bool"),
     ({"momentum": None}, "momentum must be a bool"),
+    # a bool is not a count, though operator.index(True) == 1
+    ({"k": True}, "k must be an integer"),
+    ({"restarts": True}, "restarts must be an integer"),
+    ({"jobs": True}, "jobs must be an integer"),
+    ({"seed": False}, "seed must be an integer"),
+    ({"d0": np.True_}, "d0 must be an integer"),
+    ({"max_iter": True}, "max_iter must be an integer"),
 ])
 def test_config_rejects_bad_settings_when_built(setting, match):
     with pytest.raises(ValueError, match=match):

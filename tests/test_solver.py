@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import CHILD_SKIP, run_child
 from oracles import (REFERENCE_DESCRIPTORS, ReferenceShiftedOperator, dense_adjacency,
                      dense_criterion, dense_laplacian_descriptor, dense_modularity_matrix,
                      dense_objective, dense_shifted, random_connected_graph, reference_solve)
@@ -147,9 +148,9 @@ class CountingOperator:
         self.op = op
         self.applies = 0
 
-    def apply(self, x):
+    def apply(self, x, out=None):
         self.applies += 1
-        return self.op.apply(x)
+        return self.op.apply(x, out=out)
 
     def sample_columns(self, d, rng):
         return self.op.sample_columns(d, rng)
@@ -196,8 +197,12 @@ class ScriptedOperator:
         self.images = [np.array(y, dtype=float) for y in images]
         self.n = len(self.images[0])
 
-    def apply(self, x):
-        return self.images.pop(0)
+    def apply(self, x, out=None):
+        y = self.images.pop(0)
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
     def diagonal_delta(self):
         return np.zeros(self.n)
@@ -258,6 +263,51 @@ def test_solve_peak_memory_within_reference(momentum):
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1], f"solve peaked at {peaks[0]} B, the reference at {peaks[1]} B"
+
+
+# run in a fresh interpreter: the fixed threshold changes the allocator for
+# the rest of the process. Prints the extra minor page faults per update
+FAULT_CHECK = f"""
+import ctypes
+import resource
+import sys
+
+from spherembed import (PlantedPartitionSpec, ShiftedOperator, SolverConfig, cli,
+                        generate_planted_partition, make_descriptor, solve)
+
+if not hasattr(ctypes.CDLL(None), "mallopt"):
+    sys.exit({CHILD_SKIP})
+cli._fix_mmap_threshold()  # as every command does: blocks of 1 MiB or more are mapped
+spec = PlantedPartitionSpec(n=20_000, k=10, p_in=12 / 1_999, p_out=3 / 18_000, seed=1)
+graph, _ = generate_planted_partition(spec)
+op = ShiftedOperator(make_descriptor(graph, "modularity"))
+
+
+def faults(updates, momentum):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cfg = SolverConfig(d0=10, tol=1e-300, max_iter=updates, momentum=momentum, seed=1)
+    assert solve(op, cfg).iterations == updates
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+for momentum in (False, True):
+    faults(10, momentum)  # first-call costs, such as the heap growing, land here
+    print((faults(110, momentum) - faults(10, momentum)) / 100)
+"""
+
+
+def test_solver_updates_map_no_new_blocks_under_the_fixed_threshold():
+    """No update allocates an n x d0 block, so none costs fresh page faults.
+
+    Under the CLI's 1 MiB mmap threshold every 20k x 10 block (1.6 MB) is a
+    new mapping; a loop that allocated two per update paid about 1 170 minor
+    faults per update.
+    """
+    per_update = [float(v) for v in run_child(FAULT_CHECK, skip_reason="needs glibc's mallopt")
+                  .split()]
+    assert len(per_update) == 2
+    for method, faults in zip(METHOD_IDS, per_update):
+        assert faults <= 10, f"{method}: {faults} minor page faults per update"
 
 
 def test_same_seed_bitwise_reproducible(rng):
