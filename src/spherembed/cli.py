@@ -31,6 +31,8 @@ DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 # a final relgrad above this marks a stop far from critical: healthy runs on
 # planted graphs read below 0.05, the early stops at n >= 2 000 near 0.6
 RELGRAD_WARNING = 0.1
+# options of the embedding stage, which a partition --embedding run does not run
+SOLVER_ONLY = ("descriptor", "d0", "tol", "max_iter", "momentum", "embedding_kind", "trace_delta")
 
 
 def _add_embed_options(p):
@@ -51,21 +53,6 @@ def _add_embed_options(p):
     p.add_argument("--trace-delta", action="store_true",
                    help="add the criticality column to the trace CSV "
                         "(plain solver only, --no-momentum)")
-
-
-def _add_partition_options(p):
-    p.add_argument("--k", type=int, default=DEFAULTS["k"],
-                   help="initial centroid count (clamped to n - 1)")
-    p.add_argument("--restarts", type=int, default=DEFAULTS["restarts"],
-                   help="partitioner restarts")
-    p.add_argument("--jobs", type=int, default=DEFAULTS["jobs"],
-                   help="parallel restart workers")
-    p.add_argument("--truth", help="ground-truth community file for NMI")
-
-
-def _add_common(p):
-    p.add_argument("--output-dir",
-                   help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')")
     p.add_argument("--timings", action="store_true",
                    help="report per-stage wall-clock times on stderr")
 
@@ -76,31 +63,50 @@ def build_parser():
         description="Spherical/ellipsoidal graph embeddings and embed-and-partition "
                     "community detection.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_embed = sub.add_parser(
-        "embed", help="compute an embedding and export CSV/JSON artifacts",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p_embed, p_part, p_plot = (
+        sub.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for name, text in [("embed", "compute an embedding and export CSV/JSON artifacts"),
+                           ("partition", "cluster nodes by vector partitioning"),
+                           ("plot", "render an embedding CSV as an SVG scatter")])
     _add_embed_options(p_embed)
-    _add_common(p_embed)
-
-    p_part = sub.add_parser(
-        "partition", help="cluster nodes by vector partitioning",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_embed_options(p_part)
-    _add_partition_options(p_part)
-    p_part.add_argument("--embedding", help="previously written embedding CSV to reuse")
-    p_part.add_argument("--pipeline", action="store_true",
-                        help="run the embedding stage in-process instead of reading a CSV")
-    _add_common(p_part)
 
-    p_plot = sub.add_parser(
-        "plot", help="render an embedding CSV as an SVG scatter",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p_part.add_argument("--k", type=int, default=DEFAULTS["k"],
+                        help="initial centroid count (clamped to n - 1)")
+    p_part.add_argument("--restarts", type=int, default=DEFAULTS["restarts"],
+                        help="partitioner restarts")
+    p_part.add_argument("--jobs", type=int, default=DEFAULTS["jobs"],
+                        help="parallel restart workers")
+    p_part.add_argument("--truth", help="ground-truth community file for NMI")
+    source = p_part.add_mutually_exclusive_group(required=True)
+    source.add_argument("--embedding", help="embedding CSV to reuse; takes no solver option")
+    source.add_argument("--pipeline", action="store_true",
+                        help="run the embedding stage in-process instead of reading a CSV")
+
     p_plot.add_argument("--embedding", required=True, help="embedding CSV")
     p_plot.add_argument("--partition", help="partition CSV for point colors")
     p_plot.add_argument("--output", help="SVG output path (default: <output-dir>/embedding.svg)")
-    _add_common(p_plot)
+    for p in (p_embed, p_part, p_plot):
+        p.add_argument("--output-dir",
+                       help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')")
     return parser
+
+
+def _parse_args(argv):
+    """Parsed argv; exits 2, reading no input, on an option that would change nothing."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    sub = next(a.choices for a in parser._actions if a.dest == "command")[args.command]
+    if args.command == "partition" and args.embedding is not None:
+        # argparse sets defaults only on missing attributes: an option still None was not given
+        given = vars(sub.parse_args(argv[argv.index("partition") + 1:],
+                                    argparse.Namespace(**dict.fromkeys(SOLVER_ONLY))))
+        for dest in (dest for dest in SOLVER_ONLY if given[dest] is not None):
+            option = ("--no-" if given[dest] is False else "--") + dest.replace("_", "-")
+            sub.error(f"{option} needs --pipeline: a run from --embedding runs no solver")
+    elif args.command != "plot" and args.trace_delta and args.momentum:
+        sub.error("--trace-delta needs --no-momentum: the momentum solver records no delta")
+    return args
 
 
 def _output_dir(args):
@@ -169,8 +175,6 @@ def cmd_embed(args):
 
 
 def cmd_partition(args):
-    if not args.pipeline and not args.embedding:
-        raise EdgeListError("partition needs --embedding CSV or --pipeline")
     outdir = _output_dir(args)
     cfg = _config_from(args)
     graph = load_edge_list(args.input)
@@ -192,7 +196,7 @@ def cmd_partition(args):
                                 "does not cover the graph's nodes in order")
         part = run_partition(graph, rows, cfg)
         nmi_value = None if truth is None else nmi_metric(part.labels, truth)
-        summary = summarize(graph, config=cfg.echo(with_partition=True),
+        summary = summarize(graph, config=cfg.echo(with_embedding=False, with_partition=True),
                             partition=part, nmi_value=nmi_value)
     elapsed = time.perf_counter() - t0
     _write_all(outputs + [
@@ -244,19 +248,17 @@ HANDLERS = {"embed": cmd_embed, "partition": cmd_partition, "plot": cmd_plot}
 
 def main(argv=None):
     _fix_mmap_threshold()
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return HANDLERS[args.command](args)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
+        # first: LinAlgError is a ValueError
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
     except (EdgeListError, FileNotFoundError, IsADirectoryError, PermissionError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, FloatingPointError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

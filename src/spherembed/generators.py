@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Graph, _run_starts, largest_connected_component
-from .solver import _check_count
+from .solver import _check_count, _check_real
 
 COVERAGE = 0.95
 MAX_ATTEMPTS = 20
@@ -39,6 +39,8 @@ class PlantedPartitionSpec:
         _check_count("n", self.n, 2)
         _check_count("k", self.k, 1)
         _check_count("seed", self.seed, 0)
+        _check_real("p_in", self.p_in)
+        _check_real("p_out", self.p_out)
         if self.k > self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}")
         if not 0.0 <= self.p_out <= self.p_in <= 1.0:

@@ -40,9 +40,8 @@ class DescriptorOperator:
     needed: by apply, and once by ShiftedOperator, whose matrix replaces it.
     """
 
-    def __init__(self, graph, kind, s, u):
+    def __init__(self, graph, s, u):
         self.graph = graph
-        self.kind = kind
         self._s = s
         self._u = u
 
@@ -115,7 +114,7 @@ def make_descriptor(graph, kind):
         s, u = 1.0 / np.sqrt(deg), np.sqrt(deg / two_m)
     else:
         raise ValueError(f"unknown descriptor kind {kind!r}")
-    return DescriptorOperator(graph, kind, s, u)
+    return DescriptorOperator(graph, s, u)
 
 
 def diagonal_shift_vector(op):

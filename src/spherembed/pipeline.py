@@ -51,13 +51,12 @@ class PipelineConfig(SolverConfig):
         if self.jobs is not None:
             _check_count("jobs", self.jobs, 1)
 
-    def echo(self, with_partition=False):
-        """Config section for the run summary; jobs never changes a result."""
-        skip = {"jobs"}
-        if not with_partition:
-            skip.update(("k", "restarts"))
+    def echo(self, with_embedding=True, with_partition=False):
+        """Config section for the run summary: the settings of the stages that ran."""
+        # seed drives both stages and jobs changes no result; the rest is the embedding's
+        ran = {"seed": True, "jobs": False, "k": with_partition, "restarts": with_partition}
         return {f.name: f.type(getattr(self, f.name)) for f in fields(self)
-                if f.name not in skip}
+                if ran.get(f.name, with_embedding)}
 
 
 @functools.cache

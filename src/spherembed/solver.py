@@ -11,6 +11,7 @@ runs are reproducible across platforms.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -31,6 +32,12 @@ def _check_count(name, value, low):
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
+def _check_real(name, value):
+    """ValueError naming the setting unless value is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is not Real
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     d0: int = 30
@@ -41,6 +48,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_count("d0", self.d0, 2)
+        _check_real("tol", self.tol)
         if not 0.0 < self.tol < 1.0:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         _check_count("max_iter", self.max_iter, 1)

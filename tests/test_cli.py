@@ -23,6 +23,8 @@ DEFAULT_EMBED_CONFIG = {
     "tol": 1e-08,
 }
 DEFAULT_PARTITION_CONFIG = {**DEFAULT_EMBED_CONFIG, "k": 100, "restarts": 5}
+# a run from --embedding solves nothing, so it records only the partition's settings
+DEFAULT_REUSE_CONFIG = {"k": 100, "restarts": 5, "seed": 0}
 
 
 def write_edges(path, edges):
@@ -116,13 +118,17 @@ def test_removed_solver_flags_are_usage_errors(tmp_path, k3_file, command, flag,
 CLI_ONLY = {"input", "output_dir", "timings", "trace_delta", "embedding_kind", "truth",
             "embedding", "pipeline"}
 PARTITION_ONLY = {"k", "restarts", "jobs"}
+# all that a partition --embedding run accepts
+REUSE_OPTIONS = {"input", "seed", "k", "restarts", "jobs", "truth", "embedding", "output_dir",
+                 "timings"}
 
 
-@pytest.mark.parametrize("command, excluded", [("embed", PARTITION_ONLY), ("partition", set())])
-def test_flags_match_config_fields(command, excluded):
+@pytest.mark.parametrize("argv, excluded", [(["embed"], PARTITION_ONLY),
+                                            (["partition", "--pipeline"], set())])
+def test_flags_match_config_fields(argv, excluded):
     # _config_from passes on only the options named like a field, so a flag
     # without one would be accepted and do nothing
-    options = vars(cli.build_parser().parse_args([command, "--input", "g.txt"]))
+    options = vars(cli.build_parser().parse_args([*argv, "--input", "g.txt"]))
     options.pop("command")
     field_defaults = {f.name: f.default for f in fields(pipeline.PipelineConfig)
                       if f.name not in excluded}
@@ -193,12 +199,6 @@ def test_partition_embedding_mismatch_exits_2(tmp_path, barbell_file, k3_file):
                    "--output-dir", str(tmp_path / "o")])
     assert rc == 2
     assert not (tmp_path / "o").exists()
-
-
-def test_partition_requires_source(tmp_path, barbell_file):
-    rc = cli.main(["partition", "--input", barbell_file,
-                   "--output-dir", str(tmp_path / "o")])
-    assert rc == 2
 
 
 def test_partition_with_ground_truth_nmi(tmp_path, barbell_file):
@@ -296,23 +296,72 @@ def test_summary_config_section_under_default_flags(tmp_path, barbell_file):
     cli.main(["embed", "--input", barbell_file, "--output-dir", str(tmp_path / "e")])
     cli.main(["partition", "--input", barbell_file, "--pipeline",
               "--output-dir", str(tmp_path / "p")])
+    cli.main(["partition", "--input", barbell_file, "--embedding",
+              str(tmp_path / "e" / "embedding.csv"), "--output-dir", str(tmp_path / "r")])
     # compared as JSON text too, so an int written as a float also fails
-    for out, want in (("e", DEFAULT_EMBED_CONFIG), ("p", DEFAULT_PARTITION_CONFIG)):
+    for out, want in (("e", DEFAULT_EMBED_CONFIG), ("p", DEFAULT_PARTITION_CONFIG),
+                      ("r", DEFAULT_REUSE_CONFIG)):
         config = read_json(tmp_path / out / "summary.json")["config"]
         assert config == want
         assert json.dumps(config, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-def test_bad_solver_value_exits_2_without_solving(tmp_path, barbell_file):
-    emb_dir = tmp_path / "emb"
-    cli.main(["partition", "--input", barbell_file, "--pipeline", "--d0", "6",
-              "--k", "4", "--output-dir", str(emb_dir)])
-    # the config validates its solver fields when built, even when no solver runs
-    rc = cli.main(["partition", "--input", barbell_file,
-                   "--embedding", str(emb_dir / "embedding.csv"), "--tol", "5",
+def test_bad_solver_value_exits_2_without_solving(tmp_path, barbell_file, monkeypatch):
+    # the config validates its solver fields when built, before the graph is read
+    monkeypatch.setattr(cli, "load_edge_list", lambda *a, **k: pytest.fail("graph loaded"))
+    monkeypatch.setattr(pipeline, "solve", lambda *a, **k: pytest.fail("solver ran"))
+    rc = cli.main(["partition", "--input", barbell_file, "--pipeline", "--tol", "5",
                    "--output-dir", str(tmp_path / "o")])
     assert rc == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_every_option_is_a_setting_or_cli_only():
+    parser = cli.build_parser()
+    subparsers = next(a.choices for a in parser._actions if a.dest == "command")
+    field_names = {f.name for f in fields(pipeline.PipelineConfig)}
+    options = {name: {a.dest for a in sub._actions} - {"help"}
+               for name, sub in subparsers.items()}
+    assert set(options) == {"embed", "partition", "plot"}
+    for name in ("embed", "partition"):
+        assert options[name] <= field_names | CLI_ONLY, name
+    assert options["plot"] == {"embedding", "partition", "output", "output_dir"}
+    # a run from --embedding takes every partition option but the solver's and the other source
+    assert options["partition"] - set(cli.SOLVER_ONLY) - {"pipeline"} == REUSE_OPTIONS
+
+
+# --max abbreviates --max-iter, and the message names the option in full
+REUSE_SOLVER_OPTIONS = [(["--descriptor", "normlap"], "--descriptor"), (["--d0", "6"], "--d0"),
+                        (["--tol", "1e-3"], "--tol"), (["--max-iter", "5"], "--max-iter"),
+                        (["--max", "5"], "--max-iter"), (["--momentum"], "--momentum"),
+                        (["--no-momentum"], "--no-momentum"),
+                        (["--embedding-kind", "spherical"], "--embedding-kind"),
+                        (["--trace-delta"], "--trace-delta")]
+USAGE_ERRORS = [
+    *[(["partition", "--input", "G", "--embedding", "E", *given], named)
+      for given, named in REUSE_SOLVER_OPTIONS],
+    (["partition", "--input", "G", "--pipeline", "--embedding", "E"], "not allowed with"),
+    (["partition", "--input", "G"], "one of the arguments --embedding --pipeline is required"),
+    (["plot", "--embedding", "E", "--timings"], "unrecognized arguments: --timings"),
+    (["embed", "--input", "G", "--trace-delta"], "--trace-delta needs --no-momentum"),
+    (["partition", "--input", "G", "--pipeline", "--trace-delta"], "--trace-delta needs"),
+    (["embed", "--input", "G", "--momentum", "--trace-delta"], "--trace-delta needs"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_errors_exit_2_before_reading_input(tmp_path, barbell_file, monkeypatch, capsys,
+                                                   argv, message):
+    monkeypatch.setattr(cli, "load_edge_list", lambda *a, **k: pytest.fail("graph loaded"))
+    monkeypatch.setattr(cli, "read_embedding_csv", lambda *a, **k: pytest.fail("CSV read"))
+    files = {"G": barbell_file, "E": str(tmp_path / "embedding.csv")}
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        cli.main([files.get(arg, arg) for arg in argv] + ["--output-dir", str(out)])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [

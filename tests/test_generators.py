@@ -27,6 +27,11 @@ def test_spec_validation():
         PlantedPartitionSpec(n=10, k=2, p_in=0.2, p_out=0.5)  # p_out > p_in
     with pytest.raises(ValueError):
         PlantedPartitionSpec(n=10, k=2, p_in=1.2, p_out=0.1)
+    # probabilities are real numbers, not bools, strings or None
+    for p_in, p_out, name in [(True, False, "p_in"), (0.5, np.False_, "p_out"),
+                              ("0.5", 0.1, "p_in"), (0.5, None, "p_out")]:
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            PlantedPartitionSpec(n=10, k=2, p_in=p_in, p_out=p_out)
 
 
 @pytest.mark.parametrize("setting, match", [

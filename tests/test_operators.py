@@ -153,8 +153,9 @@ def test_laplacian_descriptor_annihilates_sqrt_pi(rng):
 
 
 def test_make_descriptor_kinds(triangle):
-    assert make_descriptor(triangle, "modularity").kind == "modularity"
-    assert make_descriptor(triangle, "normlap").kind == "normlap"
+    # the kinds differ in the rank-one term: u = d / 2m against sqrt(d / 2m)
+    assert np.allclose(make_descriptor(triangle, "modularity").diagonal(), -1 / 9)
+    assert np.allclose(make_descriptor(triangle, "normlap").diagonal(), -1 / 3)
     with pytest.raises(ValueError):
         make_descriptor(triangle, "adjacency")
 

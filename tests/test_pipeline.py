@@ -1,10 +1,13 @@
 """Pipeline glue: config echo, seed tree, clamping, and stage wiring."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from spherembed import (PipelineConfig, PlantedPartitionSpec, generate_planted_partition, nmi,
-                        run_embedding, run_partition, run_pipeline, seed_tree)
+from spherembed import (Graph, PipelineConfig, PlantedPartitionSpec, cli,
+                        generate_planted_partition, nmi, run_embedding, run_partition,
+                        run_pipeline, seed_tree)
 
 
 def test_config_echo_embed_only():
@@ -20,6 +23,13 @@ def test_config_echo_with_partition():
     assert echo["k"] == 30
     assert echo["restarts"] == 3
     assert "epsilon" not in echo and "max_rounds" not in echo
+
+
+def test_config_echo_partition_only():
+    # a partition of stored rows runs no solver, so no solver setting is recorded
+    echo = PipelineConfig(k=30, restarts=3, seed=2, d0=5, jobs=2).echo(with_embedding=False,
+                                                                       with_partition=True)
+    assert echo == {"seed": 2, "k": 30, "restarts": 3}
 
 
 def test_echo_keys_do_not_depend_on_momentum():
@@ -38,6 +48,11 @@ def test_echo_keys_do_not_depend_on_momentum():
     ({"jobs": 1.5}, "jobs must be an integer"),
     # the solver fields are still checked
     ({"tol": 5.0}, "tol must lie in"),
+    ({"tol": float("nan")}, "tol must lie in"),
+    ({"tol": "1e-3"}, "tol must be a real number"),
+    ({"tol": None}, "tol must be a real number"),
+    ({"tol": True}, "tol must be a real number"),
+    ({"tol": np.True_}, "tol must be a real number"),
     ({"d0": 10.0}, "d0 must be an integer"),
     ({"d0": "10"}, "d0 must be an integer"),
     ({"max_iter": 1.5}, "max_iter must be an integer"),
@@ -66,6 +81,7 @@ def test_config_accepts_boundary_settings():
     PipelineConfig(k=1, restarts=1, jobs=1, seed=0, max_iter=1, d0=2, momentum=np.bool_(False))
     PipelineConfig(d0=np.int64(10), k=np.int32(4), seed=np.uint64(7))  # numpy integers are counts
     PipelineConfig(descriptor="normlap", jobs=None)
+    PipelineConfig(tol=np.float32(1e-3))
 
 
 def test_seed_tree_matches_spawn_layout():
@@ -140,3 +156,20 @@ def test_relgrad_shows_the_early_stop_at_n_2000():
     result, _ = run_embedding(graph, PipelineConfig(d0=10))
     assert result.converged
     assert result.relgrad > 0.5
+
+
+def complete_graph(n):
+    rows, cols = np.array(list(itertools.combinations(range(n), 2))).T
+    return Graph.from_edges(n, rows, cols, range(n))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: relgrad = ||grad|| / ||Mx|| reads 1 "
+                                       "at optima with Mx* = 0, where both norms vanish")
+@pytest.mark.parametrize("descriptor", ["modularity", "normlap"])
+@pytest.mark.parametrize("n", [2, 5], ids=["single-edge", "K5"])
+def test_relgrad_small_at_one_community_optima(n, descriptor):
+    # the optimum puts every node in one community; the run converges near it
+    # (f within 1e-6 of f* = sum(v - diag M), relative) yet reads relgrad 1, so embed warns
+    result, _ = run_embedding(complete_graph(n), PipelineConfig(descriptor=descriptor))
+    assert result.converged
+    assert result.relgrad < cli.RELGRAD_WARNING
