@@ -61,12 +61,11 @@ class EmbeddingResult:
 
 
 def _canonical_signs(U):
-    # flip each column so its largest-magnitude entry is positive; argmax
-    # takes the first maximum, which breaks ties toward the lowest index
+    # flip each column, in place, so its largest-magnitude entry is positive;
+    # argmax takes the first maximum, which breaks ties toward the lowest index
     r = U.shape[1]
     piv = np.argmax(np.abs(U), axis=0)
-    signs = np.where(U[piv, np.arange(r)] < 0, -1.0, 1.0)
-    return U * signs
+    U *= np.where(U[piv, np.arange(r)] < 0, -1.0, 1.0)
 
 
 def effective_dimension(s, epsilon, total_mass=None):
@@ -100,7 +99,8 @@ def svd_embedding(H, epsilon=0.01):
     U, s, _ = np.linalg.svd(H, full_matrices=False)
     total_mass = float(np.sum(s ** 2))
     r = int(np.sum(s > RANK_RTOL * s[0]))
-    U, s = _canonical_signs(U[:, :r]), s[:r]
+    U, s = U[:, :r], s[:r]
+    _canonical_signs(U)
     d_eff = effective_dimension(s, epsilon, total_mass)
     return EmbeddingResult(U=U, s=s, epsilon=epsilon, d_eff=d_eff, total_mass=total_mass)
 

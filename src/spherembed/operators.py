@@ -19,7 +19,13 @@ v_i = 1 + sum_{k != i} |M_ik|, making K strictly diagonally dominant with
 dominance margin 1, hence positive definite; applying K to unit-row blocks
 expands every row norm above 1. ShiftedOperator is the one place this
 shift is defined.
+
+ShiftedOperator.apply keeps no state between calls. It reads the blocks
+that ShiftedOperator.block hands out in place, so applying K to such a
+block costs no n x d copy; any other block is copied once per call.
 """
+
+import weakref
 
 import numpy as np
 from scipy import sparse
@@ -133,7 +139,9 @@ class ShiftedOperator:
     [W + diag(v - diag M), -u]: the diagonal folded into W's rows and the
     rank-one term as a last column, which multiplies an extra block row
     u^T X. Its 2m + 2n entries are the only weighted copy of the adjacency's
-    pattern the operator keeps.
+    pattern the operator keeps. It keeps no n x d block: block() hands out
+    blocks with room for that extra row below them, and only weak
+    references to them stay with the operator.
     """
 
     def __init__(self, base):
@@ -149,7 +157,9 @@ class ShiftedOperator:
              np.arange(0, 2 * n + 1, 2, dtype=index)), shape=(n, n + 1))
         self._K = base._weights(plus, products)
         self._u = base._u
-        self._extended = None  # apply's (n + 1) x d block, kept while d stays the same
+        # the (n + 1) x d arrays under block()'s blocks, by id; weak, so they
+        # live only as long as their blocks
+        self._extended = weakref.WeakValueDictionary()
 
     @property
     def n(self):
@@ -159,33 +169,53 @@ class ShiftedOperator:
         """v - diag M: what K adds to M's diagonal, so M X = K X - (v - diag M) X."""
         return self.shift - self.base.diagonal()
 
+    def block(self, shape):
+        """A new n x d float block, uninitialized, that apply reads in place.
+
+        The block is the top n rows of a private (n + 1) x d array, and
+        apply writes u^T X into the row below it. Only blocks made here are
+        read in place, so apply never writes past a caller's own array.
+        """
+        if len(shape) != 2 or shape[0] != self.n:
+            raise ValueError(f"block has shape {tuple(shape)}, expected ({self.n}, d)")
+        extended = np.empty((self.n + 1, shape[1]))
+        self._extended[id(extended)] = extended
+        return extended[:-1]
+
+    def _extended_of(self, X):
+        """The (n + 1)-row array of block() whose top n rows X is, else None."""
+        extended = X.base
+        if (extended is None or self._extended.get(id(extended)) is not extended
+                or extended.shape != (X.shape[0] + 1, X.shape[1])
+                or not X.flags.c_contiguous or X.ctypes.data != extended.ctypes.data):
+            return None
+        return extended
+
     def apply(self, X, out=None):
         """K X for an n x d block, in one sparse pass.
 
         The block gets the extra row u^T X, so the product applies W, the
-        shifted diagonal and the rank-one term together: O((n + m) d) for
-        the product plus one O(n d) copy of X into the (n + 1)-row extended
-        block, which the operator keeps between calls (so one operator must
-        not be applied from two threads at once). out, when given, is a
-        C-contiguous n x d float array that receives K X and is returned; it
-        may be X itself. Without out the result is a new array. Either way
-        the product is scipy's csr_matvecs, the kernel of K @ block, so both
-        give the same bits.
+        shifted diagonal and the rank-one term together: O((n + m) d). A
+        block from self.block gets that row in place, in its private row;
+        any other X, or a block whose out overlaps it, is first copied into
+        a new (n + 1) x d array for this call. apply keeps nothing between
+        calls, so one operator may be applied from several threads; a block
+        it reads in place, like any array it writes, is one thread's at a
+        time. out, when given, is a C-contiguous n x d float array that
+        receives K X and is returned; it may be X itself. Without out the
+        result is a new array. Either way the product is scipy's
+        csr_matvecs, the kernel of K @ block, so both give the same bits.
         """
         X = _check_block(X, self.n)
         if out is None:
             out = np.empty(X.shape)
         elif out.shape != X.shape or out.dtype != float or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-contiguous float array of shape {X.shape}")
-        return self._product(X, out)
-
-    def _product(self, X, out):
-        """apply for an n x d float block X and a checked out."""
         n, d = X.shape
-        extended = self._extended
-        if extended is None or extended.shape[1] != d:
-            extended = self._extended = np.empty((n + 1, d))
-        extended[:-1] = X
+        extended = self._extended_of(X)
+        if extended is None or np.may_share_memory(out, extended):
+            extended = np.empty((n + 1, d))
+            extended[:-1] = X
         np.dot(self._u, X, out=extended[-1])
         out.fill(0.0)
         K = self._K
@@ -199,9 +229,10 @@ class ShiftedOperator:
         if not 1 <= count <= n:
             raise ValueError(f"need 1 <= count <= {n}, got {count}")
         idx = rng.choice(n, size=count, replace=False)
-        E = np.zeros((n, count))
+        E = self.block((n, count))
+        E.fill(0.0)
         E[idx, np.arange(count)] = 1.0
-        C = self._product(E, out=E)  # E is copied into the extended block first
+        C = self.apply(E)
         # K's diagonal went through v_i + u_i^2 - u_i^2; set it to v_i exactly
         C[idx, np.arange(count)] = self.shift[idx]
         return C

@@ -38,8 +38,9 @@ from .metrics import (BLOCK_NODES, internal_degrees, modularity_from_counts,
 from .solver import _check_count
 
 # rows scored per block when assigning nodes to centroids; the scores of
-# all rows at once are an n x k matrix (80 MB at 100k x 100)
-SCORE_ROWS = 4096
+# all rows at once are an n x k matrix (80 MB at 100k x 100). The buffer
+# holds up to 2 * SCORE_ROWS - 1 rows: 1.6 MB per restart thread at k = 100
+SCORE_ROWS = 1024
 # moved nodes whose CSR rows one count update walks at a time, so that its
 # temporaries stay a quarter of a full recount's block
 MOVED_NODES = BLOCK_NODES // 4

@@ -92,11 +92,15 @@ def seed_tree(cfg):
 
 
 def run_embedding(graph, cfg):
-    """Solve for the embedding of a graph; returns (SolveResult, EmbeddingResult)."""
+    """Solve for the embedding of a graph; returns (SolveResult, EmbeddingResult).
+
+    The stage holds K and the solver's three n x d0 blocks, and K is freed
+    before the SVD, which then holds the result's block and its own.
+    """
     _fix_mmap_threshold()
-    op = make_descriptor(graph, cfg.descriptor)
-    shifted = ShiftedOperator(op)
+    shifted = ShiftedOperator(make_descriptor(graph, cfg.descriptor))
     result = solve(shifted, replace(cfg, d0=min(cfg.d0, graph.n)), rng=seed_tree(cfg)[0])
+    del shifted  # K is not needed by the SVD
     return result, svd_embedding(result.x)
 
 

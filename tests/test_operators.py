@@ -1,5 +1,7 @@
 """Matrix-free descriptor operators against dense references."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -98,6 +100,84 @@ def test_shifted_apply_into_out_is_bitwise_the_sparse_product(rng, kind):
         assert op.apply(X).tobytes() == public.tobytes()
         assert op.apply(X, out=X) is X  # out may be X itself
         assert X.tobytes() == public.tobytes()
+
+
+def test_shifted_apply_reads_blocks_in_place_and_copies_other_arrays(rng):
+    """block() gives top rows of a private (n + 1)-row array; other arrays are never written past."""
+    g = random_connected_graph(rng, 200, extra_edges=600)
+    op = ShiftedOperator(make_descriptor(g, "modularity"))
+    X = rng.standard_normal((g.n, 4))
+    public = op._K @ np.vstack([X, op._u @ X])
+    block = op.block((g.n, 4))
+    assert block.shape == (g.n, 4) and block.base.shape == (g.n + 1, 4)
+    block[...] = X
+    assert op.apply(block).tobytes() == public.tobytes()
+    np.testing.assert_array_equal(block, X)  # the input is read, not changed
+    # the top rows of a caller's own (n + 1)-row array: its last row stays
+    own = np.vstack([X, np.full((1, 4), 7.0)])
+    assert op.apply(own[:-1]).tobytes() == public.tobytes()
+    np.testing.assert_array_equal(own[-1], 7.0)
+    np.testing.assert_array_equal(own[:-1], X)
+    # an out that is, or overlaps, the block is filled from a copy of X
+    assert op.apply(block, out=block) is block
+    assert block.tobytes() == public.tobytes()
+    block[...] = X
+    out = block.base[1:]
+    assert op.apply(block, out=out) is out
+    assert out.tobytes() == public.tobytes()
+    for shape in ((g.n - 1, 4), (g.n,)):
+        with pytest.raises(ValueError, match=r"block has shape \(.*\), expected \(200, d\)"):
+            op.block(shape)
+
+
+def test_shifted_operator_holds_no_block_after_apply(rng):
+    g = random_connected_graph(rng, 50, extra_edges=100)
+    op = ShiftedOperator(make_descriptor(g, "modularity"))
+    block = op.block((g.n, 3))
+    block[...] = rng.standard_normal((g.n, 3))
+    op.apply(block, out=op.apply(block))
+    op.apply(rng.standard_normal((g.n, 3)))
+    op.sample_columns(3, np.random.default_rng(1))
+    held = [name for name, value in vars(op).items()
+            if isinstance(value, np.ndarray) and value.ndim == 2]
+    assert held == []
+
+
+def test_shifted_apply_from_several_threads_gives_one_threads_bits(rng):
+    """Threads apply one operator to their blocks and plain arrays and get the serial bits.
+
+    Four threads on a shortened switch interval, so that their applies interleave.
+    """
+    spec = PlantedPartitionSpec(n=2000, k=10, p_in=12 / 199, p_out=3 / 1800, seed=5)
+    g, _ = generate_planted_partition(spec)
+    op = ShiftedOperator(make_descriptor(g, "modularity"))
+    inputs = [rng.standard_normal((g.n, 6)) for _ in range(4)]
+    serial = [op.apply(X).tobytes() for X in inputs]
+    results = [[] for _ in inputs]
+    start = threading.Barrier(len(inputs))
+
+    def work(i):
+        X = inputs[i]
+        block = op.block(X.shape)
+        start.wait()
+        for _ in range(20):
+            block[...] = X
+            results[i].append(op.apply(block).tobytes())
+            results[i].append(op.apply(X).tobytes())
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, want in enumerate(serial):
+        assert results[i] == [want] * 40
 
 
 def test_shifted_apply_rejects_an_out_it_cannot_fill():

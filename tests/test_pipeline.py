@@ -1,13 +1,14 @@
 """Pipeline glue: config echo, seed tree, clamping, and stage wiring."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spherembed import (Graph, PipelineConfig, PlantedPartitionSpec, cli,
-                        generate_planted_partition, nmi, run_embedding, run_partition,
-                        run_pipeline, seed_tree)
+from spherembed import (Graph, PipelineConfig, PlantedPartitionSpec, ShiftedOperator, cli,
+                        generate_planted_partition, make_descriptor, nmi, run_embedding,
+                        run_partition, run_pipeline, seed_tree)
 
 
 def test_config_echo_embed_only():
@@ -156,6 +157,30 @@ def test_relgrad_shows_the_early_stop_at_n_2000():
     result, _ = run_embedding(graph, PipelineConfig(d0=10))
     assert result.converged
     assert result.relgrad > 0.5
+
+
+@pytest.mark.parametrize("momentum", [False, True], ids=["gpm", "gpmm"])
+def test_run_embedding_peaks_at_k_plus_four_blocks(momentum):
+    """The embed stage holds K, the solver's three blocks and a few n-vectors.
+
+    A block is (n + 1) x d0 floats, the size block() hands out. The stage
+    peaks at K plus 3.6 blocks on this graph; a copy of the iterate, or K
+    kept through the SVD, would take it past 4.
+    """
+    spec = PlantedPartitionSpec(n=20_000, k=10, p_in=12 / 1_999, p_out=3 / 18_000, seed=1)
+    graph, _ = generate_planted_partition(spec)
+    K = ShiftedOperator(make_descriptor(graph, "modularity"))._K
+    k_bytes = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes
+    del K
+    cfg = PipelineConfig(d0=10, momentum=momentum, max_iter=20, tol=1e-300, seed=1)
+    tracemalloc.start()
+    try:
+        run_embedding(graph, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = (peak - k_bytes) / ((graph.n + 1) * 10 * 8)
+    assert blocks <= 4, f"run_embedding peaked at K + {blocks:.2f} blocks"
 
 
 def complete_graph(n):

@@ -177,6 +177,24 @@ def test_one_apply_per_update_and_trace_per_update(rng, method):
 
 
 @pytest.mark.parametrize("method", METHODS, ids=METHOD_IDS)
+def test_solve_through_an_operator_without_block_gives_the_same_bits(rng, method):
+    """Without k.block the loop's blocks come from np.empty; with or without x0, nothing changes."""
+    g = random_connected_graph(rng, 60, extra_edges=120)
+    op = shifted_op(g)
+    assert not hasattr(CountingOperator(op), "block")
+    x0 = project_rows(rng.standard_normal((g.n, 4)))
+    kept = x0.copy()
+    for start in (None, x0):
+        cfg = SolverConfig(d0=4, seed=2, max_iter=40, **method)
+        direct, counted = solve(op, cfg, x0=start), solve(CountingOperator(op), cfg, x0=start)
+        assert direct.x.tobytes() == counted.x.tobytes()
+        assert direct.trace.tobytes() == counted.trace.tobytes()
+        assert (direct.objective, direct.delta, direct.relgrad) == \
+            (counted.objective, counted.delta, counted.relgrad)
+    assert x0.tobytes() == kept.tobytes()  # x0 was copied, not overwritten
+
+
+@pytest.mark.parametrize("method", METHODS, ids=METHOD_IDS)
 def test_nonfinite_iterate_fails_fast(rng, method):
     """A NaN in K x raises at once instead of running on to max_iter."""
     g = random_connected_graph(rng, 30, extra_edges=40)
