@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 log = logging.getLogger(__name__)
 
@@ -514,8 +513,11 @@ def largest_connected_component(g):
     One breadth-first search from node 0 settles most graphs. If it reaches
     r >= n / 2 nodes, no other component has more than n - r <= r, and
     node 0 carries the smallest label, so it also wins a tie. Only when it
-    reaches fewer does the search over all components run.
+    reaches fewer does the search over all components run. The cut slices
+    the CSR to the kept rows, then columns, so each row stays sorted.
     """
+    from scipy.sparse import csgraph  # not at module level: it adds 11 MB of RSS on import
+
     reached = csgraph.breadth_first_order(g.adjacency, 0, return_predecessors=False)
     if len(reached) == g.n:
         return g
@@ -531,12 +533,9 @@ def largest_connected_component(g):
         # component carries its smallest original label
         inside = comp == comp[np.argmax(sizes[comp] == sizes.max())]
     keep = np.flatnonzero(inside)
-    new_index = np.cumsum(inside) - 1
-    rows, cols = g._upper_edges()
-    cut = inside[rows]  # an edge lies inside the component if one end does
-    # the new indices keep the old order, so the keys stay sorted
-    keys = new_index[rows[cut]] * len(keep) + new_index[cols[cut]]
-    return Graph._from_keys(len(keep), keys, (g.node_labels[i] for i in keep.tolist()))
+    adj = g.adjacency[keep][:, keep]
+    return Graph(adjacency=adj, degrees=np.diff(adj.indptr).astype(np.int64),
+                 node_labels=tuple(g.node_labels[i] for i in keep.tolist()))
 
 
 def load_ground_truth(source, graph, ignore_extra=False):

@@ -42,8 +42,8 @@ def _check_block(X, n):
 class DescriptorOperator:
     """Matrix-free descriptor M = W - u u^T; build it with make_descriptor.
 
-    Only s and u are kept. W = S A S is formed from the adjacency when it is
-    needed: by apply, and once by ShiftedOperator, whose matrix replaces it.
+    Only s and u are kept. W = S A S is formed from the adjacency each time
+    apply needs it.
     """
 
     def __init__(self, graph, s, u):
@@ -59,22 +59,15 @@ class DescriptorOperator:
         """v_i v_k for every stored entry (i, k) of the adjacency, in CSR order."""
         adj = self.graph.adjacency
         out = np.repeat(v, np.diff(adj.indptr))
-        out *= v[adj.indices]
+        # out[e] *= v[indices[e]] in place, with no 2m-long gather of v
+        _sparsetools.csr_scale_columns(self.n, self.n, adj.indptr, adj.indices, out, v)
         return out
 
-    def _weights(self, plus=None, products=None):
-        """W = S A S as a CSR matrix, or W + plus for a CSR plus of n rows.
-
-        W's values are s_i s_k on the adjacency's index arrays, which it
-        shares; W is widened to plus's column count, so plus may add columns.
-        products, if given, holds those values already.
-        """
+    def _weights(self):
+        """W = S A S as a CSR matrix: the values s_i s_k on the adjacency's index arrays."""
         adj = self.graph.adjacency
-        shape = adj.shape if plus is None else plus.shape
-        if products is None:
-            products = self._edge_products(self._s)
-        W = sparse.csr_matrix((products, adj.indices, adj.indptr), shape=shape, copy=False)
-        return W if plus is None else W + plus
+        return sparse.csr_matrix((self._edge_products(self._s), adj.indices, adj.indptr),
+                                 shape=adj.shape, copy=False)
 
     def apply(self, X):
         X = _check_block(X, self.n)
@@ -85,19 +78,16 @@ class DescriptorOperator:
     def diagonal(self):
         return -self._u ** 2
 
-    def offdiagonal_abs_sums(self, products=None):
+    def offdiagonal_abs_sums(self):
         """sum_{k != i} |M_ik| per row, in O(deg(i)) per row.
 
         Neighbour entries are |s_i s_k - u_i u_k|; the non-neighbour entries
         are all -u_i u_k, so their absolute values sum to
-        u_i (sum_k u_k - u_i - sum_{k in N(i)} u_k). products, if given,
-        holds the s_i s_k of _edge_products(s) already; it is not changed.
+        u_i (sum_k u_k - u_i - sum_{k in N(i)} u_k).
         """
         adj, u = self.graph.adjacency, self._u
-        if products is None:
-            products = self._edge_products(self._s)
         entries = self._edge_products(u)
-        np.subtract(products, entries, out=entries)
+        np.subtract(self._edge_products(self._s), entries, out=entries)
         np.abs(entries, out=entries)
         # row sums through the adjacency's pattern need no 2m-long row index array
         neighbour_abs = sparse.csr_matrix((entries, adj.indices, adj.indptr), shape=adj.shape,
@@ -146,16 +136,18 @@ class ShiftedOperator:
 
     def __init__(self, base):
         self.base = base
-        # s_i s_k on every edge, formed once: a term of the shift and W's values
-        products = base._edge_products(base._s)
-        self.shift = 1.0 + base.offdiagonal_abs_sums(products)
-        n, index = base.n, base.graph.adjacency.indices.dtype
+        self.shift = 1.0 + base.offdiagonal_abs_sums()
+        adj, n = base.graph.adjacency, base.n
+        index = adj.indices.dtype
         # row i of the addend holds (i, i, v_i - M_ii) and (i, n, -u_i)
         plus = sparse.csr_matrix(
             (np.column_stack([self.diagonal_delta(), -base._u]).ravel(),
              np.column_stack([np.arange(n, dtype=index), np.full(n, n, dtype=index)]).ravel(),
              np.arange(0, 2 * n + 1, 2, dtype=index)), shape=(n, n + 1))
-        self._K = base._weights(plus, products)
+        # W's values on the adjacency's index arrays, one column wider to match plus
+        W = sparse.csr_matrix((base._edge_products(base._s), adj.indices, adj.indptr),
+                              shape=plus.shape, copy=False)
+        self._K = W + plus
         self._u = base._u
         # the (n + 1) x d arrays under block()'s blocks, by id; weak, so they
         # live only as long as their blocks

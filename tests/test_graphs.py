@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from conftest import BARBELL_EDGES
 from oracles import (dense_adjacency, make_graph, random_connected_graph,
@@ -373,14 +374,27 @@ def test_largest_connected_component_matches_reference(case, seed, monkeypatch):
     g = _components_graph(rng, make(rng))
     want = reference_largest_connected_component(g)
     searches = []
-    search = graphs.csgraph.connected_components
-    monkeypatch.setattr(graphs.csgraph, "connected_components",
+    search = csgraph.connected_components
+    monkeypatch.setattr(csgraph, "connected_components",
                         lambda *a, **k: searches.append(1) or search(*a, **k))
     got = largest_connected_component(g)
     assert len(searches) == fallback
     _assert_same_graph(got, want)
     if got.n == g.n:
         assert got is g
+
+
+@pytest.mark.parametrize("case", sorted(LCC_CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_largest_connected_component_keeps_canonical_csr(case, seed):
+    # the cut slices the input's CSR: every row must stay sorted and free of
+    # duplicates, with the input's index arrays' dtypes
+    rng = np.random.default_rng(seed)
+    g = _components_graph(rng, LCC_CASES[case][1](rng))
+    got = largest_connected_component(g).adjacency
+    assert got.has_canonical_format
+    assert got.indices.dtype == g.adjacency.indices.dtype
+    assert got.indptr.dtype == g.adjacency.indptr.dtype
 
 
 @pytest.mark.parametrize("make, digest", [

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import BARBELL_EDGES
 from oracles import (REFERENCE_DESCRIPTORS, ReferenceShiftedOperator, dense_adjacency,
                      dense_laplacian_descriptor, dense_modularity_matrix, dense_shifted,
                      make_graph, random_connected_graph, reference_shifted_matrix)
@@ -312,6 +313,36 @@ def test_shifted_build_matches_reference_bytes(kind):
                       (op._K.indptr, K.indptr)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert diagonal_shift_vector(base).tobytes() == shift.tobytes()
+
+
+SMALL_GRAPHS = {
+    "barbell": lambda: make_graph(BARBELL_EDGES),
+    "random 40": lambda: random_connected_graph(np.random.default_rng(7), 40, extra_edges=30),
+    "random 300": lambda: random_connected_graph(np.random.default_rng(8), 300, extra_edges=900),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(SMALL_GRAPHS))
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
+def test_shifted_build_matches_reference_bits(kind, graph):
+    base = make_descriptor(SMALL_GRAPHS[graph](), kind)
+    op = ShiftedOperator(base)
+    shift, K = reference_shifted_matrix(base)
+    assert np.array_equal(op.shift, shift)
+    for got, want in ((op._K.data, K.data), (op._K.indices, K.indices),
+                      (op._K.indptr, K.indptr)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("graph", sorted(SMALL_GRAPHS))
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
+def test_edge_products_match_gathered_products(kind, graph):
+    # the in-place column scaling does the gather's multiply, so the bits agree
+    base = make_descriptor(SMALL_GRAPHS[graph](), kind)
+    adj = base.graph.adjacency
+    for v in (base._s, base._u):
+        assert np.array_equal(base._edge_products(v),
+                              np.repeat(v, np.diff(adj.indptr)) * v[adj.indices])
 
 
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
