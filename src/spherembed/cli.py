@@ -7,6 +7,7 @@ none of them, so failed runs leave no partial outputs. Exit codes:
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -122,10 +123,14 @@ def _config_from(args):
 def _write_all(outputs):
     """Write (path, text) pairs all or none.
 
+    A target that is a directory fails the call before anything is written.
     Every text goes to a temporary file beside its target first; only when
     all are written does each replace its target, so a failed write leaves
     neither an artifact nor a temporary file behind.
     """
+    for path, _ in outputs:
+        if path.is_dir() and not path.is_symlink():  # os.replace would fail on it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     temps = []
     try:
         for path, text in outputs:

@@ -74,19 +74,19 @@ def nmi(labels_a, labels_b):
     n = len(a)
     _, ia = np.unique(a, return_inverse=True)
     _, ib = np.unique(b, return_inverse=True)
-    ka, kb = ia.max() + 1, ib.max() + 1
-    joint = np.bincount(ia * kb + ib, minlength=ka * kb).reshape(ka, kb) / n
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    ha = float(-np.sum(pa[pa > 0] * np.log(pa[pa > 0])))
-    hb = float(-np.sum(pb[pb > 0] * np.log(pb[pb > 0])))
+    # every label occurs, so no probability below is 0
+    pa, pb = np.bincount(ia) / n, np.bincount(ib) / n
+    ha = float(-np.sum(pa * np.log(pa)))
+    hb = float(-np.sum(pb * np.log(pb)))
     if ha == 0.0 and hb == 0.0:
         return 1.0
     if ha == 0.0 or hb == 0.0:
         return 0.0
-    nz = joint > 0
-    outer = np.outer(pa, pb)
-    mi = float(np.sum(joint[nz] * np.log(joint[nz] / outer[nz])))
+    # the joint distribution over its nonzero cells only: at most n of them
+    kb = len(pb)
+    cells, counts = np.unique(ia * kb + ib, return_counts=True)
+    joint = counts / n
+    mi = float(np.sum(joint * np.log(joint / (pa[cells // kb] * pb[cells % kb]))))
     return 2.0 * mi / (ha + hb)
 
 

@@ -20,12 +20,10 @@ dominance margin 1, hence positive definite; applying K to unit-row blocks
 expands every row norm above 1. ShiftedOperator is the one place this
 shift is defined.
 
-ShiftedOperator.apply keeps no state between calls. It reads the blocks
-that ShiftedOperator.block hands out in place, so applying K to such a
-block costs no n x d copy; any other block is copied once per call.
+ShiftedOperator.apply keeps no state between calls. It reads a C-contiguous
+block in place and copies any other block, or one that its out overlaps,
+once per call.
 """
-
-import weakref
 
 import numpy as np
 from scipy import sparse
@@ -125,33 +123,23 @@ class ShiftedOperator:
     so K_ii - sum_{k != i} |K_ik| = 1 > 0 for every row: a dominance
     margin of 1.
 
-    K = W + diag(v - diag M) - u u^T is kept as one n x (n + 1) CSR matrix
-    [W + diag(v - diag M), -u]: the diagonal folded into W's rows and the
-    rank-one term as a last column, which multiplies an extra block row
-    u^T X. Its 2m + 2n entries are the only weighted copy of the adjacency's
-    pattern the operator keeps. It keeps no n x d block: block() hands out
-    blocks with room for that extra row below them, and only weak
-    references to them stay with the operator.
+    K = W + diag(v - diag M) - u u^T is kept as one n x n CSR matrix
+    W + diag(v - diag M), with the diagonal folded into W's rows, beside u
+    held as an n x 1 CSR matrix for the rank-one term. The matrix's 2m + n
+    entries are the only weighted copy of the adjacency's pattern the
+    operator keeps, and it keeps no n x d block.
     """
 
     def __init__(self, base):
         self.base = base
         self.shift = 1.0 + base.offdiagonal_abs_sums()
-        adj, n = base.graph.adjacency, base.n
-        index = adj.indices.dtype
-        # row i of the addend holds (i, i, v_i - M_ii) and (i, n, -u_i)
-        plus = sparse.csr_matrix(
-            (np.column_stack([self.diagonal_delta(), -base._u]).ravel(),
-             np.column_stack([np.arange(n, dtype=index), np.full(n, n, dtype=index)]).ravel(),
-             np.arange(0, 2 * n + 1, 2, dtype=index)), shape=(n, n + 1))
-        # W's values on the adjacency's index arrays, one column wider to match plus
-        W = sparse.csr_matrix((base._edge_products(base._s), adj.indices, adj.indptr),
-                              shape=plus.shape, copy=False)
-        self._K = W + plus
-        self._u = base._u
-        # the (n + 1) x d arrays under block()'s blocks, by id; weak, so they
-        # live only as long as their blocks
-        self._extended = weakref.WeakValueDictionary()
+        n, index = base.n, base.graph.adjacency.indices.dtype
+        rows = np.arange(n + 1, dtype=index)
+        # row i of the addend holds (i, i, v_i - M_ii)
+        self._K = base._weights() + sparse.csr_matrix((self.diagonal_delta(), rows[:-1], rows),
+                                                      shape=(n, n))
+        # u as an n x 1 CSR matrix: indptr and indices of one entry per row, in column 0
+        self._u, self._u_indptr, self._u_indices = base._u, rows, np.zeros(n, dtype=index)
 
     @property
     def n(self):
@@ -161,58 +149,34 @@ class ShiftedOperator:
         """v - diag M: what K adds to M's diagonal, so M X = K X - (v - diag M) X."""
         return self.shift - self.base.diagonal()
 
-    def block(self, shape):
-        """A new n x d float block, uninitialized, that apply reads in place.
-
-        The block is the top n rows of a private (n + 1) x d array, and
-        apply writes u^T X into the row below it. Only blocks made here are
-        read in place, so apply never writes past a caller's own array.
-        """
-        if len(shape) != 2 or shape[0] != self.n:
-            raise ValueError(f"block has shape {tuple(shape)}, expected ({self.n}, d)")
-        extended = np.empty((self.n + 1, shape[1]))
-        self._extended[id(extended)] = extended
-        return extended[:-1]
-
-    def _extended_of(self, X):
-        """The (n + 1)-row array of block() whose top n rows X is, else None."""
-        extended = X.base
-        if (extended is None or self._extended.get(id(extended)) is not extended
-                or extended.shape != (X.shape[0] + 1, X.shape[1])
-                or not X.flags.c_contiguous or X.ctypes.data != extended.ctypes.data):
-            return None
-        return extended
-
     def apply(self, X, out=None):
-        """K X for an n x d block, in one sparse pass.
+        """K X for an n x d block, in two passes of one sparse kernel: O((n + m) d).
 
-        The block gets the extra row u^T X, so the product applies W, the
-        shifted diagonal and the rank-one term together: O((n + m) d). A
-        block from self.block gets that row in place, in its private row;
-        any other X, or a block whose out overlaps it, is first copied into
-        a new (n + 1) x d array for this call. apply keeps nothing between
-        calls, so one operator may be applied from several threads; a block
-        it reads in place, like any array it writes, is one thread's at a
-        time. out, when given, is a C-contiguous n x d float array that
-        receives K X and is returned; it may be X itself. Without out the
-        result is a new array. Either way the product is scipy's
-        csr_matvecs, the kernel of K @ block, so both give the same bits.
+        The first pass applies W + diag(v - diag M); the second adds
+        u_i (-u^T X) to each row i through u's n x 1 CSR matrix. Each pass
+        is scipy's csr_matvecs, the kernel of K @ block, and the second
+        adds to a row after all of K's entries have, so the result has the
+        bits of [W + diag(v - diag M), -u] @ [X; u^T X]. X is read in place
+        when it is C-contiguous and does not overlap out, and copied once
+        otherwise. apply keeps nothing between calls, so one operator may be
+        applied from several threads. out, when given, is a C-contiguous
+        n x d float array that receives K X and is returned; it may be X
+        itself. Without out the result is a new array.
         """
         X = _check_block(X, self.n)
         if out is None:
             out = np.empty(X.shape)
         elif out.shape != X.shape or out.dtype != float or not out.flags.c_contiguous:
             raise ValueError(f"out must be a C-contiguous float array of shape {X.shape}")
+        if not X.flags.c_contiguous or np.may_share_memory(X, out):
+            X = np.array(X, order="C")
         n, d = X.shape
-        extended = self._extended_of(X)
-        if extended is None or np.may_share_memory(out, extended):
-            extended = np.empty((n + 1, d))
-            extended[:-1] = X
-        np.dot(self._u, X, out=extended[-1])
+        c = np.negative(np.dot(self._u, X))
         out.fill(0.0)
         K = self._K
-        _sparsetools.csr_matvecs(n, n + 1, d, K.indptr, K.indices, K.data,
-                                 extended.ravel(), out.ravel())
+        _sparsetools.csr_matvecs(n, n, d, K.indptr, K.indices, K.data, X.ravel(), out.ravel())
+        _sparsetools.csr_matvecs(n, 1, d, self._u_indptr, self._u_indices, self._u, c,
+                                 out.ravel())
         return out
 
     def sample_columns(self, count, rng):
@@ -221,8 +185,7 @@ class ShiftedOperator:
         if not 1 <= count <= n:
             raise ValueError(f"need 1 <= count <= {n}, got {count}")
         idx = rng.choice(n, size=count, replace=False)
-        E = self.block((n, count))
-        E.fill(0.0)
+        E = np.zeros((n, count))
         E[idx, np.arange(count)] = 1.0
         C = self.apply(E)
         # K's diagonal went through v_i + u_i^2 - u_i^2; set it to v_i exactly

@@ -129,15 +129,12 @@ def _relative_gradient(k, x, y, spare):
     return math.sqrt(np.vdot(grad, grad)) / mx_norm if mx_norm > 0 else 0.0
 
 
-def _initial_point(k, cfg, rng, x0, new_block):
-    """x_0 in a new block: a copy of x0, or the projected sampled columns of K."""
+def _initial_point(k, cfg, rng, x0):
+    """x_0 in a new block: a copy of x0, or the sampled columns of K projected in place."""
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        x = new_block(x0.shape)
-        x[...] = x0
-        return x
+        return np.array(x0, dtype=float, order="C")
     columns = k.sample_columns(cfg.d0, rng)
-    return project_rows(columns, out=new_block(columns.shape))
+    return project_rows(columns, out=columns)
 
 
 def _finite_objective(x, y, update):
@@ -169,16 +166,14 @@ def solve(k, cfg, rng=None, x0=None):
     the step norm and the next row norms for the plain method.
 
     No update allocates. The loop holds three n x d0 blocks and one n-long
-    vector of row norms, made once per call. The blocks come from
-    k.block(shape), or from np.empty for an operator without block, so a
-    ShiftedOperator reads each as it is, with no copy; the sampled start is
-    projected into the first, and an x0 copied into it. The blocks hold the
-    iterate x_{j-1}, its image K x_{j-1} and, in the third, K x_{j-2}
-    (momentum only); update j writes z_j (momentum only) and then x_j into
-    the third, and K x_j into x_{j-1}'s block through
-    k.apply(x_j, out=that block). So k.apply(X, out=B) must write K X into B
-    and return B, and k.apply(X) must return a new array. The result's x is
-    one of the three blocks, so no later call shares it.
+    vector of row norms, made once per call: the start (the sampled columns
+    projected in place, or a copy of x0), its image k.apply(x_0) and a third
+    from np.empty. The blocks hold the iterate x_{j-1}, its image K x_{j-1}
+    and, in the third, K x_{j-2} (momentum only); update j writes z_j
+    (momentum only) and then x_j into the third, and K x_j into x_{j-1}'s
+    block through k.apply(x_j, out=that block). So k.apply(X, out=B) must
+    write K X into B and return B, and k.apply(X) must return a new array.
+    The result's x is one of the three blocks, so no later call shares it.
 
     Once the loop ends, relgrad costs a few more such passes, through the
     last K x and the third block; it reads k.diagonal_delta().
@@ -190,11 +185,10 @@ def solve(k, cfg, rng=None, x0=None):
     FloatingPointError at the first update whose K x is not finite.
     """
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    new_block = getattr(k, "block", np.empty)
-    x = _initial_point(k, cfg, rng, x0, new_block)
+    x = _initial_point(k, cfg, rng, x0)
     plain = not cfg.momentum
-    y = k.apply(x, out=new_block(x.shape))
-    w = new_block(x.shape)  # the third block
+    y = k.apply(x)
+    w = np.empty(x.shape)  # the third block
     f = _finite_objective(x, y, 0)
     trace = [f]
     # the plain method reuses the row norms of Kx for the next projection

@@ -413,6 +413,22 @@ def test_write_failure_leaves_no_partial_outputs(tmp_path, barbell_file, monkeyp
     assert not out.exists() or list(out.iterdir()) == []  # no temporary file either
 
 
+def test_a_target_that_is_a_directory_fails_before_any_write(tmp_path, barbell_file, capsys):
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    kept = [name for name in PIPELINE_FILES if name != "summary.json"]
+    for name in kept:
+        (out / name).write_text("earlier run\n")
+    rc = cli.main(["partition", "--input", barbell_file, "--pipeline",
+                   "--d0", "6", "--k", "4", "--output-dir", str(out)])
+    assert rc == 2
+    assert "Is a directory" in capsys.readouterr().err
+    for name in kept:  # replaced by none of this run's artifacts
+        assert (out / name).read_text() == "earlier run\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(PIPELINE_FILES)  # no temporary file
+    assert list((out / "summary.json").iterdir()) == []
+
+
 def test_plot_with_partition_colors(tmp_path, barbell_file):
     out = tmp_path / "out"
     cli.main(["partition", "--input", barbell_file, "--pipeline",

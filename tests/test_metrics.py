@@ -1,6 +1,7 @@
 """Partition quality metrics and the run summary document."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,20 @@ def test_nmi_bounds(rng):
         b = rng.integers(0, 6, size=30)
         v = nmi(a, b)
         assert 0.0 <= v <= 1.0 + 1e-12
+
+
+def test_nmi_memory_grows_with_n_not_with_the_label_counts():
+    # 2 000 singleton labels a side: a dense 2 000 x 2 000 joint table is 32 MB
+    n = 2000
+    a, b = np.arange(n), np.random.default_rng(1).permutation(n)
+    tracemalloc.start()
+    try:
+        value = nmi(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert peak <= 1e6, f"nmi peaked at {peak / 1e6:.1f} MB"
 
 
 def test_nmi_validation():

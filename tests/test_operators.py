@@ -87,14 +87,17 @@ def test_apply_rejects_blocks_that_are_not_n_by_d(kind, shifted):
 def test_shifted_apply_into_out_is_bitwise_the_sparse_product(rng, kind):
     """apply(X, out=B) gives the bits of apply(X) and of scipy's K @ [X; u^T X].
 
+    K here is the reference's fused n x (n + 1) matrix [W + diag(v - diag M), -u].
     apply runs scipy's private csr_matvecs into B; a scipy release that
     changes that kernel or its signature fails here first.
     """
     g = random_connected_graph(rng, 200, extra_edges=600)
-    op = ShiftedOperator(make_descriptor(g, kind))
-    for d in (3, 7, 3):  # the kept extended block changes width and back
+    base = make_descriptor(g, kind)
+    op = ShiftedOperator(base)
+    fused = reference_shifted_matrix(base)[1]
+    for d in (3, 7, 3):
         X = rng.standard_normal((g.n, d))
-        public = op._K @ np.vstack([X, op._u @ X])
+        public = fused @ np.vstack([X, base._u @ X])
         out = np.full((g.n, d), np.nan)  # apply must zero it before the product
         assert op.apply(X, out=out) is out
         assert out.tobytes() == public.tobytes()
@@ -103,39 +106,47 @@ def test_shifted_apply_into_out_is_bitwise_the_sparse_product(rng, kind):
         assert X.tobytes() == public.tobytes()
 
 
-def test_shifted_apply_reads_blocks_in_place_and_copies_other_arrays(rng):
-    """block() gives top rows of a private (n + 1)-row array; other arrays are never written past."""
+def test_shifted_apply_leaves_its_input_and_the_rows_beyond_it(rng):
+    """apply reads its input without changing it or any row beyond it; an out over X gets the bits."""
     g = random_connected_graph(rng, 200, extra_edges=600)
-    op = ShiftedOperator(make_descriptor(g, "modularity"))
+    base = make_descriptor(g, "modularity")
+    op = ShiftedOperator(base)
     X = rng.standard_normal((g.n, 4))
-    public = op._K @ np.vstack([X, op._u @ X])
-    block = op.block((g.n, 4))
-    assert block.shape == (g.n, 4) and block.base.shape == (g.n + 1, 4)
-    block[...] = X
-    assert op.apply(block).tobytes() == public.tobytes()
-    np.testing.assert_array_equal(block, X)  # the input is read, not changed
+    public = reference_shifted_matrix(base)[1] @ np.vstack([X, base._u @ X])
     # the top rows of a caller's own (n + 1)-row array: its last row stays
     own = np.vstack([X, np.full((1, 4), 7.0)])
     assert op.apply(own[:-1]).tobytes() == public.tobytes()
     np.testing.assert_array_equal(own[-1], 7.0)
-    np.testing.assert_array_equal(own[:-1], X)
-    # an out that is, or overlaps, the block is filled from a copy of X
+    np.testing.assert_array_equal(own[:-1], X)  # the input is read, not changed
+    # an out that is, or overlaps, X is filled from a copy of X
+    block = own[:-1]
     assert op.apply(block, out=block) is block
     assert block.tobytes() == public.tobytes()
     block[...] = X
-    out = block.base[1:]
+    out = own[1:]
     assert op.apply(block, out=out) is out
     assert out.tobytes() == public.tobytes()
-    for shape in ((g.n - 1, 4), (g.n,)):
-        with pytest.raises(ValueError, match=r"block has shape \(.*\), expected \(200, d\)"):
-            op.block(shape)
+
+
+@pytest.mark.parametrize("kind", ["modularity", "normlap"])
+def test_shifted_apply_of_any_layout_gives_the_bits_of_a_c_contiguous_copy(rng, kind):
+    g = random_connected_graph(rng, 200, extra_edges=600)
+    op = ShiftedOperator(make_descriptor(g, kind))
+    wide = rng.standard_normal((g.n, 9))
+    for X in (np.asfortranarray(wide[:, :5]), wide[:, 2:7], wide[:, ::2]):
+        want = op.apply(np.ascontiguousarray(X)).tobytes()
+        kept = X.copy()
+        assert op.apply(X).tobytes() == want
+        np.testing.assert_array_equal(X, kept)
+        out = np.ascontiguousarray(X)
+        assert op.apply(out, out=out) is out  # out=X
+        assert out.tobytes() == want
 
 
 def test_shifted_operator_holds_no_block_after_apply(rng):
     g = random_connected_graph(rng, 50, extra_edges=100)
     op = ShiftedOperator(make_descriptor(g, "modularity"))
-    block = op.block((g.n, 3))
-    block[...] = rng.standard_normal((g.n, 3))
+    block = rng.standard_normal((g.n, 3))
     op.apply(block, out=op.apply(block))
     op.apply(rng.standard_normal((g.n, 3)))
     op.sample_columns(3, np.random.default_rng(1))
@@ -145,7 +156,7 @@ def test_shifted_operator_holds_no_block_after_apply(rng):
 
 
 def test_shifted_apply_from_several_threads_gives_one_threads_bits(rng):
-    """Threads apply one operator to their blocks and plain arrays and get the serial bits.
+    """Threads apply one operator to their own arrays and get the serial bits.
 
     Four threads on a shortened switch interval, so that their applies interleave.
     """
@@ -159,7 +170,7 @@ def test_shifted_apply_from_several_threads_gives_one_threads_bits(rng):
 
     def work(i):
         X = inputs[i]
-        block = op.block(X.shape)
+        block = np.empty(X.shape)
         start.wait()
         for _ in range(20):
             block[...] = X
@@ -301,17 +312,19 @@ def test_shifted_matches_reference_shifted_on_planted_graph(kind):
 
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
 def test_shifted_build_matches_reference_bytes(kind):
-    """One array of edge products serves the shift and W: K is unchanged, byte for byte."""
+    """K is the reference's fused matrix without its last column, u that column negated, byte for byte."""
     spec = PlantedPartitionSpec(n=2000, k=10, p_in=12 / 199, p_out=3 / 1800, seed=5)
     g, _ = generate_planted_partition(spec)
     base = make_descriptor(g, kind)
     op = ShiftedOperator(base)
-    shift, K = reference_shifted_matrix(base)
+    shift, fused = reference_shifted_matrix(base)
+    K = fused[:, :g.n]
     assert op.shift.tobytes() == shift.tobytes()
     assert op._K.shape == K.shape
     for got, want in ((op._K.data, K.data), (op._K.indices, K.indices),
                       (op._K.indptr, K.indptr)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert op._u.tobytes() == (-fused[:, [g.n]].toarray().ravel()).tobytes()
     assert diagonal_shift_vector(base).tobytes() == shift.tobytes()
 
 
@@ -327,11 +340,14 @@ SMALL_GRAPHS = {
 def test_shifted_build_matches_reference_bits(kind, graph):
     base = make_descriptor(SMALL_GRAPHS[graph](), kind)
     op = ShiftedOperator(base)
-    shift, K = reference_shifted_matrix(base)
+    shift, fused = reference_shifted_matrix(base)
+    n = base.n
+    K = fused[:, :n]
     assert np.array_equal(op.shift, shift)
     for got, want in ((op._K.data, K.data), (op._K.indices, K.indices),
                       (op._K.indptr, K.indptr)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(op._u, -fused[:, [n]].toarray().ravel())
 
 
 @pytest.mark.parametrize("graph", sorted(SMALL_GRAPHS))
@@ -347,9 +363,9 @@ def test_edge_products_match_gathered_products(kind, graph):
 
 @pytest.mark.parametrize("kind", ["modularity", "normlap"])
 def test_shifted_operator_keeps_one_weighted_matrix(kind):
-    """At n = 100 000 the operator keeps K's 2m + 2n entries and three n-vectors.
+    """At n = 100 000 the operator keeps K's 2m + n entries, u's n x 1 matrix and a few n-vectors.
 
-    That is 23.2 MB on this graph; a second weighted copy of the
+    That is 22.8 MB on this graph; a second weighted copy of the
     adjacency's pattern beside K would add 12 MB or more.
     """
     spec = PlantedPartitionSpec(n=100_000, k=10, p_in=12 / 9_999, p_out=3 / 90_000, seed=1)
@@ -360,5 +376,5 @@ def test_shifted_operator_keeps_one_weighted_matrix(kind):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert op._K.nnz == 2 * g.m + 2 * g.n
+    assert op._K.nnz == 2 * g.m + g.n
     assert kept <= 24e6, f"operator keeps {kept / 1e6:.1f} MB"

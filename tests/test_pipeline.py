@@ -163,9 +163,10 @@ def test_relgrad_shows_the_early_stop_at_n_2000():
 def test_run_embedding_peaks_at_k_plus_four_blocks(momentum):
     """The embed stage holds K, the solver's three blocks and a few n-vectors.
 
-    A block is (n + 1) x d0 floats, the size block() hands out. The stage
-    peaks at K plus 3.6 blocks on this graph; a copy of the iterate, or K
-    kept through the SVD, would take it past 4.
+    A block is counted as (n + 1) x d0 floats, the input of the former
+    n x (n + 1) K, so the bound is the one set for it. The stage peaks at
+    K plus 3.7 blocks on this graph; a copy of the iterate, or K kept
+    through the SVD, would take it past 4.
     """
     spec = PlantedPartitionSpec(n=20_000, k=10, p_in=12 / 1_999, p_out=3 / 18_000, seed=1)
     graph, _ = generate_planted_partition(spec)
