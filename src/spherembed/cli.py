@@ -87,7 +87,8 @@ def build_parser():
     p_plot.add_argument("--embedding", required=True, help="embedding CSV")
     p_plot.add_argument("--partition", help="partition CSV for point colors")
     p_plot.add_argument("--output", help="SVG output path (default: <output-dir>/embedding.svg)")
-    for p in (p_embed, p_part, p_plot):
+    parser.commands = {"embed": p_embed, "partition": p_part, "plot": p_plot}
+    for p in parser.commands.values():
         p.add_argument("--output-dir",
                        help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')")
     return parser
@@ -97,7 +98,7 @@ def _parse_args(argv):
     """Parsed argv; exits 2, reading no input, on an option that would change nothing."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    sub = next(a.choices for a in parser._actions if a.dest == "command")[args.command]
+    sub = parser.commands[args.command]
     if args.command == "partition" and args.embedding is not None:
         # argparse sets defaults only on missing attributes: an option still None was not given
         given = vars(sub.parse_args(argv[argv.index("partition") + 1:],
@@ -145,15 +146,6 @@ def _write_all(outputs):
         raise
 
 
-def _embedding_outputs(outdir, args, graph, result, embedding):
-    return [
-        (outdir / "embedding.csv",
-         write_embedding_csv(embedding, graph, kind=args.embedding_kind)),
-        (outdir / "spectrum.csv", write_spectrum_csv(embedding)),
-        (outdir / "trace.csv", write_trace_csv(result, include_delta=args.trace_delta)),
-    ]
-
-
 def _warn_if_far_from_critical(result):
     """One stderr line when the solver stopped with relgrad above RELGRAD_WARNING."""
     if result.relgrad > RELGRAD_WARNING:
@@ -162,41 +154,26 @@ def _warn_if_far_from_critical(result):
               file=sys.stderr)
 
 
-def cmd_embed(args):
-    outdir = _output_dir(args)
-    cfg = _config_from(args)
-    t0 = time.perf_counter()
-    graph = load_edge_list(args.input)
-    result, embedding = run_embedding(graph, cfg)
-    summary = summarize(graph, config=cfg.echo(), solve_result=result,
-                        embedding=embedding)
-    elapsed = time.perf_counter() - t0
-    _write_all(_embedding_outputs(outdir, args, graph, result, embedding)
-               + [(outdir / "summary.json", write_summary_json(summary))])
-    _warn_if_far_from_critical(result)
-    if args.timings:
-        print(f"embed stage: {elapsed:.3f}s", file=sys.stderr)
-    return 0
-
-
-def cmd_partition(args):
+def cmd_run(args):
+    """embed or partition: read the inputs, run the stages asked for, write their artifacts."""
     outdir = _output_dir(args)
     cfg = _config_from(args)
     graph = load_edge_list(args.input)
     truth = None
-    if args.truth:
+    if getattr(args, "truth", None):
         # the loader kept only the largest component: skip truth lines of the nodes it cut
         truth = load_ground_truth(args.truth, graph, ignore_extra=True)
 
-    outputs = []
     t0 = time.perf_counter()
-    if args.pipeline:
+    result = part = None
+    if args.command == "embed":
+        result, embedding = run_embedding(graph, cfg)
+        summary = summarize(graph, config=cfg.echo(), solve_result=result, embedding=embedding)
+    elif args.pipeline:
         result, embedding, part, summary = run_pipeline(graph, cfg, truth=truth)
-        outputs = _embedding_outputs(outdir, args, graph, result, embedding)
     else:
         labels, rows = read_embedding_csv(args.embedding)
-        expected = [str(lab) for lab in graph.node_labels]
-        if labels != expected:
+        if labels != [str(lab) for lab in graph.node_labels]:
             raise EdgeListError("embedding/graph node mismatch: the embedding CSV "
                                 "does not cover the graph's nodes in order")
         part = run_partition(graph, rows, cfg)
@@ -204,15 +181,21 @@ def cmd_partition(args):
         summary = summarize(graph, config=cfg.echo(with_embedding=False, with_partition=True),
                             partition=part, nmi_value=nmi_value)
     elapsed = time.perf_counter() - t0
-    _write_all(outputs + [
-        (outdir / "partition.csv", write_partition_csv(part, graph)),
-        (outdir / "run_log.json", write_run_log(part)),
-        (outdir / "summary.json", write_summary_json(summary)),
-    ])
-    if args.pipeline:
+
+    outputs = [] if result is None else [
+        (outdir / "embedding.csv",
+         write_embedding_csv(embedding, graph, kind=args.embedding_kind)),
+        (outdir / "spectrum.csv", write_spectrum_csv(embedding)),
+        (outdir / "trace.csv", write_trace_csv(result, include_delta=args.trace_delta)),
+    ]
+    if part is not None:
+        outputs += [(outdir / "partition.csv", write_partition_csv(part, graph)),
+                    (outdir / "run_log.json", write_run_log(part))]
+    _write_all(outputs + [(outdir / "summary.json", write_summary_json(summary))])
+    if result is not None:
         _warn_if_far_from_critical(result)
     if args.timings:
-        print(f"partition stage: {elapsed:.3f}s", file=sys.stderr)
+        print(f"{args.command} stage: {elapsed:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -248,7 +231,7 @@ def cmd_plot(args):
     return 0
 
 
-HANDLERS = {"embed": cmd_embed, "partition": cmd_partition, "plot": cmd_plot}
+HANDLERS = {"embed": cmd_run, "partition": cmd_run, "plot": cmd_plot}
 
 
 def main(argv=None):

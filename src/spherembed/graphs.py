@@ -551,10 +551,9 @@ def load_ground_truth(source, graph, ignore_extra=False):
     """
     data = _read_utf8(source, ascii_blanks=True)
     node, community = _truth_pairs(data, graph, ignore_extra)
-    order = np.argsort(node, kind="stable")
-    last = np.append(node[order][1:] != node[order][:-1], True)  # a node's last line wins
+    nodes, first = np.unique(node[::-1], return_index=True)  # reversed: a node's last line wins
     assigned = np.full(graph.n, -1, dtype=np.int64)
-    assigned[node[order][last]] = community[order][last]
+    assigned[nodes] = community[::-1][first]
     missing = np.flatnonzero(assigned < 0)
     if len(missing):
         raise EdgeListError(f"missing community labels for {len(missing)} nodes "

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -241,6 +242,19 @@ def test_partition_truth_missing_a_kept_node_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", ["", "# no node here\n", "10 2\n11 2\n"],
+                         ids=["empty", "comment", "only-cut-nodes"])
+def test_partition_truth_naming_no_kept_node_exits_2(tmp_path, capsys, text):
+    edges = write_edges(tmp_path / "edges.txt", CUT_COMPONENT_EDGES)
+    truth = tmp_path / "truth.txt"
+    truth.write_text(text)
+    rc = cli.main(["partition", "--pipeline", "--input", edges, "--d0", "3", "--k", "2",
+                   "--truth", str(truth), "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "missing community labels for 6 nodes (first: 0)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("n, warns", [(None, False), (300, False), (2000, True)],
                          ids=["barbell", "planted-300", "planted-2000"])
 @pytest.mark.parametrize("command", [["embed"], ["partition", "--pipeline"]],
@@ -290,6 +304,67 @@ def test_partition_jobs_byte_identical(tmp_path):
     for name in PIPELINE_FILES:
         assert (tmp_path / "jobs1" / name).read_bytes() == \
             (tmp_path / "jobs2" / name).read_bytes()
+
+
+@pytest.fixture
+def planted_files(tmp_path):
+    graph, truth = generate_planted_partition(
+        PlantedPartitionSpec(n=300, k=3, p_in=0.1, p_out=0.01, seed=2))
+    edges, truth_file = tmp_path / "planted.txt", tmp_path / "truth.txt"
+    edges.write_text(write_edge_list(graph))
+    truth_file.write_text("".join(f"{lab} {c}\n" for lab, c in zip(graph.node_labels, truth)))
+    return str(edges), str(truth_file)
+
+
+@pytest.mark.parametrize("options", [
+    ["--d0", "8"],
+    ["--d0", "6", "--descriptor", "normlap", "--no-momentum", "--trace-delta", "--tol", "1e-6",
+     "--max-iter", "40", "--seed", "5", "--embedding-kind", "ellipsoidal"],
+], ids=["defaults", "every-solver-option"])
+def test_embed_and_partition_pipeline_write_the_same_embedding(tmp_path, planted_files,
+                                                                 options):
+    edges, _ = planted_files
+    for argv in (["embed"], ["partition", "--pipeline", "--k", "4"]):
+        assert cli.main([*argv, "--input", edges, *options,
+                         "--output-dir", str(tmp_path / argv[0])]) == 0
+    for name in ["embedding.csv", "spectrum.csv", "trace.csv"]:
+        assert (tmp_path / "embed" / name).read_bytes() == \
+            (tmp_path / "partition" / name).read_bytes(), name
+
+
+def test_partition_from_a_pipeline_runs_embedding_repeats_its_partition(tmp_path, planted_files):
+    edges, truth = planted_files
+    common = ["--input", edges, "--truth", truth, "--seed", "3", "--k", "6", "--restarts", "3"]
+    assert cli.main(["partition", "--pipeline", "--d0", "8", *common,
+                     "--output-dir", str(tmp_path / "pipeline")]) == 0
+    assert cli.main(["partition", "--embedding", str(tmp_path / "pipeline" / "embedding.csv"),
+                     *common, "--output-dir", str(tmp_path / "reuse")]) == 0
+    for name in ["partition.csv", "run_log.json"]:
+        assert (tmp_path / "pipeline" / name).read_bytes() == \
+            (tmp_path / "reuse" / name).read_bytes(), name
+    sections = [read_json(tmp_path / run / "summary.json")["partition"]
+                for run in ("pipeline", "reuse")]
+    assert sections[0] == sections[1]
+    assert sections[0]["nmi"] is not None
+
+
+@pytest.mark.parametrize("command", [["embed"], ["partition", "--pipeline"], ["partition"]],
+                         ids=["embed", "pipeline", "reuse"])
+def test_timings_leave_out_the_load_and_the_write(tmp_path, barbell_file, monkeypatch, capsys,
+                                                  command):
+    if command == ["partition"]:
+        cli.main(["embed", "--input", barbell_file, "--d0", "4", "--output-dir", str(tmp_path)])
+        command = ["partition", "--embedding", str(tmp_path / "embedding.csv")]
+    load, write_all = cli.load_edge_list, cli._write_all
+    monkeypatch.setattr(cli, "load_edge_list", lambda *a: (time.sleep(0.3), load(*a))[1])
+    monkeypatch.setattr(cli, "_write_all", lambda *a: (time.sleep(0.3), write_all(*a))[1])
+    capsys.readouterr()
+    assert cli.main([*command, "--input", barbell_file, "--timings",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    match = re.fullmatch(rf"{command[0]} stage: (\d+\.\d{{3}})s\n", err)
+    assert match, err
+    assert float(match[1]) < 0.3
 
 
 def test_summary_config_section_under_default_flags(tmp_path, barbell_file):

@@ -144,6 +144,17 @@ def test_ground_truth_tokens_read_as_graph_labels():
     assert load_ground_truth(io.StringIO(extra), g, ignore_extra=True).tolist() == [1, 1, 0]
 
 
+@pytest.mark.parametrize("text", ["", "\n# no node here\n\n", "\xa0\n\u3000\n", "99 0\nx 1\n"],
+                         ids=["empty", "comments", "non-ascii-blanks", "only-unknown-nodes"])
+@pytest.mark.parametrize("ignore_extra", [False, True])
+def test_ground_truth_naming_no_graph_node_matches_reference(barbell, text, ignore_extra):
+    # no line survives, so the last-line-wins pass runs on empty arrays
+    with pytest.raises(EdgeListError) as want:
+        reference_load_ground_truth(io.StringIO(text), barbell, ignore_extra)
+    with pytest.raises(EdgeListError, match=re.escape(str(want.value))):
+        load_ground_truth(io.StringIO(text), barbell, ignore_extra)
+
+
 TRUTH_STYLES = {
     # (graph labels, node tokens that may or may not name a node)
     "int": (lambda n: [str(i) for i in range(n)], ["07", "+3", "99", "x", "\u0663", "-0"]),

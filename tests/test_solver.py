@@ -177,8 +177,8 @@ def test_one_apply_per_update_and_trace_per_update(rng, method):
 
 
 @pytest.mark.parametrize("method", METHODS, ids=METHOD_IDS)
-def test_solve_through_an_operator_without_block_gives_the_same_bits(rng, method):
-    """Without k.block the loop's blocks come from np.empty; with or without x0, nothing changes."""
+def test_solve_through_a_forwarding_wrapper_gives_the_same_bits(rng, method):
+    """A wrapper of the three methods solve calls gives the operator's bits, with or without x0."""
     g = random_connected_graph(rng, 60, extra_edges=120)
     op = shifted_op(g)
     assert not hasattr(CountingOperator(op), "block")
