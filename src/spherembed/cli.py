@@ -222,7 +222,8 @@ def _read_cluster_ids(source, node_labels):
 
 def cmd_plot(args):
     outdir = _output_dir(args)
-    labels_order, coords = read_embedding_csv(args.embedding)
+    # only the coordinates render_scatter_svg draws are parsed; every row's cell count is checked
+    labels_order, coords = read_embedding_csv(args.embedding, columns=3)
     cluster_labels = None
     if args.partition:
         cluster_labels = _read_cluster_ids(args.partition, labels_order)

@@ -120,16 +120,18 @@ def write_embedding_csv(result, graph, kind="spherical"):
     return _csv_text(header, graph.node_labels, coords)
 
 
-def read_embedding_csv(source):
+def read_embedding_csv(source, columns=None):
     """Read an embedding CSV back into (node label strings, coordinate matrix).
 
     Rows are read by the rules of graphs._csv_rows under a header starting
-    "node,": a row with the wrong cell count, or a coordinate that is empty,
-    not a number or not finite, raises ValueError naming its line; a file
-    without rows raises ValueError too.
+    "node,": a row with the wrong cell count, or a parsed coordinate that is
+    empty, not a number or not finite, raises ValueError naming its line; a
+    file without rows raises ValueError too. With columns=k only the first
+    k coordinates of each row are parsed and returned.
     """
     labels, coords = _csv_rows(source, lambda header: header.startswith("node,"),
-                               "not an embedding CSV: missing 'node,coord_...' header")
+                               "not an embedding CSV: missing 'node,coord_...' header",
+                               columns=columns)
     if not len(coords):
         raise ValueError("embedding CSV has no coordinate rows")
     return labels, coords

@@ -166,48 +166,48 @@ def _csv_text(header, labels, values):
     return "".join(parts)
 
 
-def _csv_rows(source, is_header, header_error, dtype=float):
+def _csv_rows(source, is_header, header_error, dtype=float, columns=None):
     """(labels, values) of a "label,v_1,...,v_r" CSV such as _csv_text writes.
 
     is_header must accept the first line, else ValueError(header_error); its
     cell count fixes every row's. A leading byte-order mark is dropped and
     blank lines are skipped. A label is the text before its row's first
-    comma; every other cell must be a finite number of dtype. A row that
-    breaks a rule raises ValueError naming its line. Each chunk is parsed
-    into one block sized from the line count, so labels are the only
-    per-row objects.
+    comma. Cells v_1..v_c, with c = min(columns, r) (all r by default), must
+    be finite numbers of dtype and are returned; later cells are not parsed.
+    A row that breaks a rule raises ValueError naming its line. Each chunk
+    is parsed into one block sized from the line count, so labels are the
+    only per-row objects.
     """
     data = _read_utf8(source)
     labels, values, filled, next_line = [], None, 0, 1
     for start, end in _chunks(data):
         text = str(memoryview(data)[start:end], "utf-8", "surrogatepass")
         lines = text.splitlines()
-        commas = text.count(",")
-        del text
         first, next_line = next_line, next_line + len(lines)  # chunks end at line breaks
+        del text
         if values is None:  # the first chunk starts with the header
             if not is_header(lines[0]):
                 raise ValueError(header_error)
             width = lines[0].count(",")
-            commas -= width
-            values = np.empty((_line_bound(data) - 1, width), dtype=dtype)
+            parsed = width if columns is None else min(columns, width)
+            values = np.empty((_line_bound(data) - 1, parsed), dtype=dtype)
             del lines[0]
             first += 1
         body = list(filter(str.strip, lines))
         if not body:
             continue
-        # loadtxt rejects a row with too few cells, so with this total no row
-        # has too many
-        balanced = commas == width * len(body)
-        block = _parse_cells(body, range(1, width + 1), dtype) if balanced else None
+        # loadtxt ignores cells past the last one it parses, so each row's
+        # cell count is checked here
+        counted = set(map(str.count, body, itertools.repeat(","))) == {width}
+        block = _parse_cells(body, range(1, parsed + 1), dtype) if counted else None
         if block is None or not np.isfinite(block).all():
-            _raise_bad_row(lines, first, width, dtype)
+            _raise_bad_row(lines, first, width, parsed, dtype)
         labels += [line.partition(",")[0] for line in body]
         values[filled:filled + len(block)] = block
         filled += len(block)
     if values is None:
         raise ValueError(header_error)
-    values.resize((filled, width), refcheck=False)  # in place: no view of values exists
+    values.resize((filled, parsed), refcheck=False)  # in place: no view of values exists
     return labels, values
 
 
@@ -223,8 +223,12 @@ def _parse_cells(lines, usecols, dtype):
             return None
 
 
-def _raise_bad_row(lines, first, width, dtype):
-    """Raise the error of the first row among lines, numbered from first, that breaks a rule."""
+def _raise_bad_row(lines, first, width, parsed, dtype):
+    """Raise the error of the first row among lines, numbered from first, that breaks a rule.
+
+    Every row must hold width cells after its label, and the first parsed
+    of them must be finite numbers of dtype.
+    """
     for lineno, line in enumerate(lines, start=first):
         if not line.strip():
             continue
@@ -232,7 +236,7 @@ def _raise_bad_row(lines, first, width, dtype):
         if len(cells) != width:
             raise ValueError(f"line {lineno}: expected {width + 1} cells as in the header, "
                              f"got {len(cells) + 1}")
-        for cell in cells:
+        for cell in cells[:parsed]:
             if not cell.strip():
                 raise ValueError(f"line {lineno}: empty coordinate")
             value = _parse_cells([cell], None, dtype)
@@ -580,13 +584,15 @@ def _truth_pairs(data, graph, ignore_extra):
 
     if values is not None:
         node = _int_label_positions(graph, values)
-    else:
-        distinct = list(dict.fromkeys(tokens[0::2]))  # normalize each token once
-        labels = [_normalize_labels([t])[0] for t in distinct] if int_graph else distinct
+    elif int_graph:  # a token such as "07" names node 7: normalize each distinct token once
         index = graph.label_index
-        node_of = {tok: index.get(lab, -1) for tok, lab in zip(distinct, labels)}
+        node_of = {tok: index.get(_normalize_labels([tok])[0], -1)
+                   for tok in dict.fromkeys(tokens[0::2])}
         node = np.fromiter(map(node_of.__getitem__, tokens[0::2]), dtype=np.int64,
                            count=len(starts) // 2)
+    else:
+        node = np.fromiter(map(graph.label_index.get, tokens[0::2], itertools.repeat(-1)),
+                           dtype=np.int64, count=len(starts) // 2)
     known = node >= 0
     if not ignore_extra and not known.all():
         first = int(np.argmin(known))

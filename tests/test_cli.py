@@ -14,6 +14,7 @@ from conftest import BARBELL_EDGES, CHILD_SKIP, run_child
 from oracles import reference_read_cluster_ids
 from spherembed import (PlantedPartitionSpec, cli, generate_planted_partition, graphs,
                         make_descriptor, pipeline, write_edge_list)
+from spherembed.embedding import read_embedding_csv
 
 EMBED_FILES = ["embedding.csv", "spectrum.csv", "trace.csv", "summary.json"]
 PIPELINE_FILES = EMBED_FILES + ["partition.csv", "run_log.json"]
@@ -392,11 +393,9 @@ def test_bad_solver_value_exits_2_without_solving(tmp_path, barbell_file, monkey
 
 
 def test_every_option_is_a_setting_or_cli_only():
-    parser = cli.build_parser()
-    subparsers = next(a.choices for a in parser._actions if a.dest == "command")
     field_names = {f.name for f in fields(pipeline.PipelineConfig)}
     options = {name: {a.dest for a in sub._actions} - {"help"}
-               for name, sub in subparsers.items()}
+               for name, sub in cli.build_parser().commands.items()}
     assert set(options) == {"embed", "partition", "plot"}
     for name in ("embed", "partition"):
         assert options[name] <= field_names | CLI_ONLY, name
@@ -648,6 +647,66 @@ def test_plot_rejects_one_dimensional_embedding(tmp_path):
     rc = cli.main(["plot", "--embedding", str(emb),
                    "--output", str(tmp_path / "x.svg")])
     assert rc == 2
+    assert not (tmp_path / "x.svg").exists()
+
+
+def _plot_embedding_lines():
+    """Lines of a 5-coordinate embedding CSV, with a blank line and a CRLF row."""
+    rows = [",".join([f"n{i}", repr(i / 7), repr(-i / 3), repr(i * i / 11), "0.5", "-0.5"])
+            for i in range(10)]
+    return ["node,coord_1,coord_2,coord_3,coord_4,coord_5", *rows[:4], "", rows[4] + "\r",
+            *rows[5:]]
+
+
+def _with_cell(line, column, cell):
+    cells = line.split(",")
+    cells[column] = cell
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 9, 40, graphs.CHUNK_BYTES])
+@pytest.mark.parametrize("cell", ["x", "nan", "-inf", ""])
+def test_plot_parses_only_the_drawn_coordinates(tmp_path, cell, chunk_bytes, monkeypatch):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    lines = _plot_embedding_lines()
+    clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+    clean.write_text("\n".join(lines) + "\n")
+    lines[3] = _with_cell(lines[3], 4, cell)
+    lines[9] = _with_cell(_with_cell(lines[9], 5, cell), 4, cell)
+    dirty.write_text("\n".join(lines) + "\n")
+    for source in (clean, dirty):
+        assert cli.main(["plot", "--embedding", str(source),
+                         "--output", str(tmp_path / f"{source.stem}.svg")]) == 0
+    assert (tmp_path / "dirty.svg").read_bytes() == (tmp_path / "clean.svg").read_bytes()
+    # partition --embedding reads every cell
+    with pytest.raises(ValueError, match="^line 4: "):
+        read_embedding_csv(str(dirty))
+
+
+PLOT_ROW_ERRORS = {
+    "text": (lambda line: _with_cell(line, 2, "x"), "could not convert string 'x' to float64"),
+    "nan": (lambda line: _with_cell(line, 3, "nan"), "non-finite coordinate"),
+    "empty": (lambda line: _with_cell(line, 1, " "), "empty coordinate"),
+    "short": (lambda line: line.rpartition(",")[0], "expected 6 cells as in the header, got 5"),
+    "long": (lambda line: line + ",1.0", "expected 6 cells as in the header, got 7"),
+    "label only": (lambda line: line.partition(",")[0],
+                   "expected 6 cells as in the header, got 1"),
+}
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 9, 40, graphs.CHUNK_BYTES])
+@pytest.mark.parametrize("case", PLOT_ROW_ERRORS)
+def test_plot_names_the_line_of_a_bad_row(tmp_path, case, chunk_bytes, monkeypatch, capsys):
+    monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
+    edit, message = PLOT_ROW_ERRORS[case]
+    lines = _plot_embedding_lines()
+    lines[2] = _with_cell(lines[2], 5, "x")  # undrawn: not what is reported
+    lines[8] = edit(lines[8])
+    lines[10] += ",1.0"  # a later long row: with a short one, the comma total is right
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["plot", "--embedding", str(bad), "--output", str(tmp_path / "x.svg")]) == 2
+    assert capsys.readouterr().err == f"error: line 9: {message}\n"
     assert not (tmp_path / "x.svg").exists()
 
 

@@ -148,6 +148,10 @@ def test_reader_matches_reference(rng, tmp_path, d):
                 assert got_labels == want_labels
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+            for columns in (1, 3):  # the first columns, as the full read has them
+                got_labels, got = read_embedding_csv(io.StringIO(variant), columns=columns)
+                assert got_labels == want_labels
+                assert got.tobytes() == np.ascontiguousarray(want[:, :columns]).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["path", "text stream", "byte stream"])
