@@ -21,13 +21,13 @@ from scipy import sparse
 
 log = logging.getLogger(__name__)
 
-# The edge-list and CSV readers tokenize their input CHUNK_BYTES at a time,
-# each chunk ending with a whole line. Tokenizing holds about 16 bytes
-# of per-byte masks, line numbers and token offsets for each byte of its
-# chunk, so whole-input temporaries would be 16 times the file. At 256 KB
-# they stay near 4 MB at any input size, below what a 20 000-node graph
-# keeps (1 MB chunks held 17 MB, four times it), and a 100 000-node load is
-# no slower than in 1 MB chunks.
+# The readers parse their input CHUNK_BYTES at a time, each chunk ending
+# with a whole line. A chunk's lines as Python strings and its parsed rows
+# hold about 9 bytes per byte of it (17 when its tokens are read as text),
+# so at 256 KB they stay near 2.3 MB (4.4 MB) at any input size, below what
+# a 20 000-node graph keeps. 1 MB chunks doubled a 20 000-node load's peak
+# (7.0 to 14.0 MB), raised a relabelled 100 000-node one's from 45.1 to
+# 57.1 MB, and made no load faster.
 CHUNK_BYTES = 1 << 18
 DIGEST_ROWS = 8192  # CSR rows hashed at a time
 
@@ -179,12 +179,8 @@ def _csv_rows(source, is_header, header_error, dtype=float, columns=None):
     only per-row objects.
     """
     data = _read_utf8(source)
-    labels, values, filled, next_line = [], None, 0, 1
-    for start, end in _chunks(data):
-        text = str(memoryview(data)[start:end], "utf-8", "surrogatepass")
-        lines = text.splitlines()
-        first, next_line = next_line, next_line + len(lines)  # chunks end at line breaks
-        del text
+    labels, values, filled = [], None, 0
+    for first, lines in _text_lines(data):
         if values is None:  # the first chunk starts with the header
             if not is_header(lines[0]):
                 raise ValueError(header_error)
@@ -199,7 +195,7 @@ def _csv_rows(source, is_header, header_error, dtype=float, columns=None):
         # loadtxt ignores cells past the last one it parses, so each row's
         # cell count is checked here
         counted = set(map(str.count, body, itertools.repeat(","))) == {width}
-        block = _parse_cells(body, range(1, parsed + 1), dtype) if counted else None
+        block = _parse_cells(body, dtype, usecols=range(1, parsed + 1)) if counted else None
         if block is None or not np.isfinite(block).all():
             _raise_bad_row(lines, first, width, parsed, dtype)
         labels += [line.partition(",")[0] for line in body]
@@ -211,15 +207,16 @@ def _csv_rows(source, is_header, header_error, dtype=float, columns=None):
     return labels, values
 
 
-def _parse_cells(lines, usecols, dtype):
-    """The usecols cells of comma-separated lines as a 2-D array, or None for a bad cell."""
+def _parse_cells(lines, dtype, delimiter=",", usecols=None, ndmin=2):
+    """np.loadtxt of lines into dtype, or None for a cell it cannot read as one."""
     with warnings.catch_warnings():
-        # numpy before 2 reads an integer cell "1.5" as 1, with only this warning
-        warnings.simplefilter("error", DeprecationWarning)
+        # numpy before 2 reads an integer cell "1.5" as 1, with only a
+        # DeprecationWarning, and lines that are all blank give only a UserWarning
+        warnings.simplefilter("error")
         try:  # numpy's C parser rounds exactly as float() does
-            return np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2,
-                              dtype=dtype)
-        except (ValueError, DeprecationWarning):
+            return np.loadtxt(lines, dtype=dtype, comments=None, delimiter=delimiter,
+                              usecols=usecols, ndmin=ndmin)
+        except (ValueError, Warning):
             return None
 
 
@@ -239,7 +236,7 @@ def _raise_bad_row(lines, first, width, parsed, dtype):
         for cell in cells[:parsed]:
             if not cell.strip():
                 raise ValueError(f"line {lineno}: empty coordinate")
-            value = _parse_cells([cell], None, dtype)
+            value = _parse_cells([cell], dtype)
             if value is None:
                 raise ValueError(f"line {lineno}: could not convert string {cell!r} "
                                  f"to {np.dtype(dtype)}")
@@ -259,25 +256,9 @@ def _normalize_labels(raw_labels):
 _ASCII_BREAKS = "\n\v\f\r\x1c\x1d\x1e"
 _WIDE_BREAKS = "\x85\u2028\u2029"
 
-# The tokenizer works on UTF-8 bytes, so the whitespace of str.split() and
-# the line breaks of str.splitlines() outside ASCII are first mapped to
-# ASCII ones: a line break to "\x1e", which never pairs up as "\r\n" does.
-_WIDE_SPACE = str.maketrans(
-    dict.fromkeys(map(chr, (0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000)), " ")
-    | dict.fromkeys(_WIDE_BREAKS, "\x1e"))
-_LINE_BREAK = np.zeros(256, dtype=bool)
-_LINE_BREAK[list(_ASCII_BREAKS.encode())] = True
-_SEPARATOR = _LINE_BREAK.copy()
-_SEPARATOR[list(b" \t\x1f,")] = True
-_MAX_DIGITS = 18  # a decimal numeral this long always fits in int64
 
-
-def _read_utf8(source, ascii_blanks=False):
-    """Whole input as UTF-8 bytes, without a leading byte-order mark.
-
-    With ascii_blanks, the non-ASCII whitespace and line breaks are made
-    ASCII first (see _WIDE_SPACE). ASCII bytes are returned as read.
-    """
+def _read_utf8(source):
+    """Whole input as UTF-8 bytes, without a leading byte-order mark."""
     data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
     if isinstance(data, bytes):
         if data.isascii():
@@ -285,15 +266,15 @@ def _read_utf8(source, ascii_blanks=False):
         data = data.decode("utf-8-sig")
     else:
         data = data.removeprefix("\ufeff")
-    if ascii_blanks and not data.isascii():
-        data = data.translate(_WIDE_SPACE)
     return data.encode("utf-8", "surrogatepass")
 
 
-# the ASCII line breaks of str.splitlines(), the only bytes a chunk may end
-# after (non-ASCII ones are "\x1e" once _WIDE_SPACE has mapped them); "\r\n"
-# is one break, so a chunk never ends between its two bytes
-_BREAK = re.compile(rb"\r\n|[" + re.escape(_ASCII_BREAKS.encode()) + rb"]")
+# the line breaks of str.splitlines() as UTF-8 bytes, which a chunk may end
+# after; each starts with an ASCII or a lead byte, so none matches inside
+# another character, and "\r\n" is one break, so a chunk never ends between
+# its two bytes
+_BREAK = re.compile(b"|".join([rb"\r\n", b"[" + re.escape(_ASCII_BREAKS.encode()) + b"]",
+                               *(re.escape(c.encode()) for c in _WIDE_BREAKS)]))
 
 
 def _chunks(data):
@@ -308,6 +289,15 @@ def _chunks(data):
         end = found.end() if found else len(data)
         yield start, end
         start = end
+
+
+def _text_lines(data):
+    """(number of its first line, its str.splitlines() lines) for each chunk of UTF-8 bytes."""
+    next_line = 1
+    for start, end in _chunks(data):
+        lines = str(memoryview(data)[start:end], "utf-8", "surrogatepass").splitlines()
+        first, next_line = next_line, next_line + len(lines)  # before the caller edits lines
+        yield first, lines
 
 
 _NOT_ASCII_BREAK = bytes(sorted(set(range(256)) - set(_ASCII_BREAKS.encode())))
@@ -334,72 +324,66 @@ def _run_starts(ordered):
     return mask
 
 
-def _line_breaks(raw):
-    """Mask of the bytes of a UTF-8 buffer that end a line for str.splitlines()."""
-    breaks = _LINE_BREAK[raw]
-    breaks[1:] &= (raw[1:] != ord("\n")) | (raw[:-1] != ord("\r"))  # "\r\n" is one
-    return breaks
+def _holds_data(line):
+    """Whether an edge-list or truth line is data: not blank, nor with '#' as first non-blank."""
+    text = line.lstrip()
+    return bool(text) and text[0] != "#"
 
 
-def _edge_tokens(raw):
-    """Tokens on the data lines of a UTF-8 buffer, its first malformed line and its line breaks.
+def _data_lines(lines):
+    """The lines _holds_data keeps, commas made spaces; tested one by one only if '#' occurs."""
+    body = list(filter(str.strip, lines))
+    text = "\n".join(body)
+    if "#" in text:
+        body = list(filter(_holds_data, body))
+        text = "\n".join(body)
+    return text.replace(",", " ").split("\n") if "," in text else body
 
-    Lines are numbered as str.splitlines() numbers them; blank lines and
-    lines whose first non-blank character is '#' are skipped; commas
-    separate tokens like whitespace. Returns the start offsets and lengths
-    of the data-line tokens, which of all tokens in the buffer those are,
-    (line number, token count) of the first data line without exactly two
-    tokens, or None, and the number of line breaks in the buffer.
+
+def _pairs(lines, dtype):
+    """The two tokens of each data line as a row of dtype: a scalar type, or a record of two.
+
+    None when loadtxt cannot read a token as dtype or a line as one row of
+    two; it skips a blank line, which a data line of commas alone becomes.
     """
-    line_of = np.cumsum(_line_breaks(raw), dtype=np.int32 if len(raw) < 2**31 else np.int64)
-    n_lines = int(line_of[-1]) + 1 if len(raw) else 1
-    sep = _SEPARATOR[raw]
-    word = ~sep
-    starts = np.flatnonzero(word & np.concatenate([[True], sep[:-1]]))
-    ends = np.flatnonzero(word & np.concatenate([sep[1:], [True]])) + 1
-
-    # a line's first non-blank character starts a token or is a comma
-    commas = np.flatnonzero(raw == ord(","))
-    heads = np.sort(np.concatenate([starts, commas])) if len(commas) else starts
-    first = heads[_run_starts(line_of[heads])]
-    edge_line = np.zeros(n_lines, dtype=bool)
-    edge_line[line_of[first[raw[first] != ord("#")]]] = True
-    token_line = line_of[starts]
-    counts = np.bincount(token_line, minlength=n_lines)
-    bad = np.flatnonzero(edge_line & (counts != 2))
-    malformed = (int(bad[0]) + 1, int(counts[bad[0]])) if len(bad) else None
-    keep = edge_line[token_line]
-    return starts[keep], (ends - starts)[keep], keep, malformed, n_lines - 1
+    body = _data_lines(lines)
+    shape = (len(body),) if np.dtype(dtype).names else (len(body), 2)
+    if not body:
+        return np.empty(shape, dtype=dtype)
+    rows = _parse_cells(body, dtype, delimiter=None, ndmin=len(shape))
+    return rows if rows is not None and rows.shape == shape else None
 
 
-def _kept_tokens(text, keep):
-    """The tokens of text, as str.split() finds them, that keep selects."""
-    tokens = text.replace(",", " ").split()
-    if keep.all():
-        return tokens
-    return list(itertools.compress(tokens, keep.tolist()))
+def _first_bad_line(lines, first):
+    """(line number, token count) of the first data line without two tokens, or None."""
+    for lineno, line in enumerate(lines, start=first):
+        got = len(line.replace(",", " ").split())
+        if got != 2 and _holds_data(line):
+            return lineno, got
+    return None
 
 
-def _decimal_values(raw, starts, lengths):
-    """int64 value of every token if all are plain decimal numerals, else None.
+def _pair_rows(data, dtype):
+    """(rows, bad) for each chunk of UTF-8 bytes: _pairs and _first_bad_line of its lines.
 
-    A numeral with a leading zero ("07", not "0") is not plain: the text of
-    each plain numeral is exactly str() of its value.
+    A chunk with a bad line gives the rows of the lines before it and is
+    the last; so is one whose rows are None, for a token not of dtype.
     """
-    if not len(starts) or lengths.max() > _MAX_DIGITS:
-        return None
-    if ((raw[starts] == ord("0")) & (lengths > 1)).any():
-        return None
-    values = np.zeros(len(starts), dtype=np.int64)
-    ends = starts + lengths
-    for p in range(int(lengths.max()), 0, -1):  # the p-th byte from each token's end
-        digit = raw[np.maximum(ends - p, 0)] - ord("0")  # uint8: bytes below "0" wrap past 9
-        digit *= lengths >= p  # a shorter token reads as if padded with zeros
-        if (digit > 9).any():
-            return None
-        values *= 10
-        values += digit
-    return values
+    for first, lines in _text_lines(data):
+        rows, bad = _pairs(lines, dtype), None
+        if rows is None:
+            bad = _first_bad_line(lines, first)
+            rows = _pairs(lines[:bad[0] - first], dtype) if bad else None
+        yield rows, bad
+        if rows is None or bad:
+            return
+
+
+def _data_line_number(data, row):
+    """Line number of the data line at index row among those of UTF-8 bytes."""
+    numbers = (lineno for first, lines in _text_lines(data)
+               for lineno, line in enumerate(lines, start=first) if _holds_data(line))
+    return next(itertools.islice(numbers, row, None))
 
 
 def _value_codes(values):
@@ -407,25 +391,23 @@ def _value_codes(values):
 
     Values spanning no more than their count are coded through a lookup
     table over that span; others are ranked after one sort, with the ranks
-    written over values.
+    written over values. The span is taken in Python ints, as it may
+    exceed int64.
     """
-    low = int(values.min())
-    values -= low
-    span = int(values.max()) + 1
-    if span <= len(values):
-        present = np.zeros(span, dtype=bool)
+    low, high = int(values.min()), int(values.max())
+    if high - low < len(values):
+        values -= low
+        present = np.zeros(high - low + 1, dtype=bool)
         present[values] = True
         codes = (np.cumsum(present) - 1)[values]
-        distinct = np.flatnonzero(present)
-    else:
-        order = np.argsort(values)
-        ordered = values[order]
-        new = _run_starts(ordered)
-        distinct = ordered[new]
-        del ordered
-        values[order] = np.cumsum(new) - 1
-        codes = values
-    return codes, (distinct + low).tolist()
+        return codes, (np.flatnonzero(present) + low).tolist()
+    order = np.argsort(values)
+    ordered = values[order]
+    new = _run_starts(ordered)
+    distinct = ordered[new]
+    del ordered
+    values[order] = np.cumsum(new) - 1
+    return values, distinct.tolist()
 
 
 def _malformed(lineno, got):
@@ -434,54 +416,60 @@ def _malformed(lineno, got):
     return EdgeListError(f"line {lineno}: expected 2 tokens, got {got}{weighted}")
 
 
+def _edge_rows(data, dtype, convert):
+    """convert of each chunk's (lines, 2) _pairs, or None at a token not of dtype.
+
+    A data line without two tokens raises EdgeListError naming it.
+    """
+    parts = []
+    for rows, bad in _pair_rows(data, dtype):
+        if bad:
+            raise _malformed(*bad)
+        if rows is None:
+            return None
+        parts.append(convert(rows))
+    return parts
+
+
 def _edge_endpoints(source):
     """Endpoints of every edge line of source as (codes, labels), two codes per line.
 
     labels holds the distinct node labels, normalized and sorted, and codes
-    index it in file order. The input is read a chunk at a time. A chunk of
-    plain decimal numerals keeps their int64 values; any other interns its
-    tokens as text, each stored as -1 - its id in the order of first
-    appearance. Only the distinct tokens are normalized, at the end.
+    index it in file order. The input is read a chunk at a time, as int64
+    values while every token is an integer. At the first that is not, it is
+    read again as text, each chunk's tokens interned as ids in the order of
+    first appearance; only the distinct tokens are normalized, at the end.
     """
-    data = _read_utf8(source, ascii_blanks=True)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    parts, lines = [np.zeros(0, dtype=np.int64)], 0
+    data = _read_utf8(source)
     names = collections.defaultdict(itertools.count().__next__)  # a new token takes the next id
-    for start, end in _chunks(data):
-        starts, lengths, keep, malformed, breaks = _edge_tokens(raw[start:end])
-        if malformed:
-            raise _malformed(lines + malformed[0], malformed[1])
-        lines += breaks
-        values = _decimal_values(raw[start:end], starts, lengths)
-        if values is None:
-            tokens = _kept_tokens(data[start:end].decode("utf-8", "surrogatepass"), keep)
-            values = -1 - np.fromiter(map(names.__getitem__, tokens), np.int64, len(tokens))
-        parts.append(values)
-    del data, raw  # the text dies before the codes and the graph are built
-    values = np.concatenate(parts)
+    parts = _edge_rows(data, np.int64, np.ravel)
+    if parts is None:  # "07" and "7" are one label only when every token is an integer
+        parts = _edge_rows(data, object, lambda rows: np.fromiter(
+            map(names.__getitem__, rows.ravel().tolist()), dtype=np.int64, count=rows.size))
+    del data  # the text dies before the codes and the graph are built
+    values = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
     del parts
     if not names:
         return _value_codes(values) if len(values) else (values, [])
-    # "07" and "7" are one label when every token is an integer, else two
-    decimal = np.unique(values[values >= 0])
-    normalized = _normalize_labels([*names, *map(str, decimal.tolist())])
+    normalized = _normalize_labels(list(names))
     labels = sorted(set(normalized))
     rank = {lab: i for i, lab in enumerate(labels)}
     code = np.fromiter(map(rank.__getitem__, normalized), dtype=np.int64, count=len(normalized))
-    interned = values < 0
-    values[interned] = -1 - values[interned]  # the token's entry in normalized
-    values[~interned] = len(names) + np.searchsorted(decimal, values[~interned])
     return code[values], labels
 
 
 def load_edge_list(source):
     """Parse an edge-list text stream into the largest connected component.
 
-    One edge per line as two whitespace- or comma-separated tokens; lines
-    starting with '#' and blank lines are skipped; LF and CRLF both accepted,
-    and so is a leading UTF-8 byte-order mark. Self-loops and duplicate
-    edges are dropped (counts logged). Rows with more than two tokens are
-    rejected: weighted input is not supported.
+    One edge per data line as two tokens. Commas and Unicode blanks (those
+    str.split() splits on) separate tokens, and lines end where
+    str.splitlines() ends them. A line is skipped if it is blank or its
+    first non-blank character is '#'; a '#' later in a line is part of a
+    token. A leading UTF-8 byte-order mark is dropped. Labels become ints
+    when int() reads every token, so "07" and "7" are one node; otherwise
+    every label is its token's text, and they are two. Self-loops and
+    duplicate edges are dropped (counts logged). Rows with more than two
+    tokens are rejected: weighted input is not supported.
     """
     codes, labels = _edge_endpoints(source)
     if not len(codes):
@@ -545,15 +533,17 @@ def largest_connected_component(g):
 def load_ground_truth(source, graph, ignore_extra=False):
     """Read "node community" lines into a label vector aligned with graph.
 
-    Community ids are canonicalized to 0..k-1 by first appearance in the
-    file. Every graph node must be covered; node labels absent from the
-    graph raise unless ignore_extra is set (useful when the graph loader
-    dropped nodes outside the largest connected component). A node token
-    is read as the graph's labels are: as an integer on an all-integer
-    graph ("07" is node 7), as the string itself otherwise. A node listed
-    twice takes its last community.
+    Lines, tokens, blank lines and comments follow load_edge_list's rules,
+    and each data line must hold two tokens. Community ids are
+    canonicalized to 0..k-1 by first appearance in the file; they are read
+    as text, so "07" and "7" are two communities. Every graph node must be
+    covered; node labels absent from the graph raise unless ignore_extra is
+    set (useful when the graph loader dropped nodes outside the largest
+    connected component). A node token is read as the graph's labels are:
+    as an integer on an all-integer graph ("07" is node 7), as the string
+    itself otherwise. A node listed twice takes its last community.
     """
-    data = _read_utf8(source, ascii_blanks=True)
+    data = _read_utf8(source)
     node, community = _truth_pairs(data, graph, ignore_extra)
     nodes, first = np.unique(node[::-1], return_index=True)  # reversed: a node's last line wins
     assigned = np.full(graph.n, -1, dtype=np.int64)
@@ -565,54 +555,51 @@ def load_ground_truth(source, graph, ignore_extra=False):
     return assigned
 
 
+def _truth_rows(data, node_dtype):
+    """(node tokens, community ids, first bad line) of UTF-8 bytes; None at a node not node_dtype.
+
+    Community names take ids by first appearance. Reading stops at the
+    first bad line (see _first_bad_line), returning the lines before it.
+    """
+    dtype = np.dtype([("node", node_dtype), ("community", object)])
+    ids = collections.defaultdict(itertools.count().__next__)  # a new name takes the next id
+    nodes, names, bad = [np.zeros(0, dtype=node_dtype)], [np.zeros(0, dtype=np.int64)], None
+    for rows, bad in _pair_rows(data, dtype):
+        if rows is None:
+            return None
+        nodes.append(rows["node"].copy())  # a copy: the names die with their chunk
+        names.append(np.fromiter(map(ids.__getitem__, rows["community"].tolist()),
+                                 dtype=np.int64, count=len(rows)))
+    return np.concatenate(nodes), np.concatenate(names), bad
+
+
 def _truth_pairs(data, graph, ignore_extra):
     """(graph index, community code) of every line naming a graph node.
 
-    A truth file holds one short line per node, so it is read whole: its
-    temporaries stay below what the graph it labels keeps.
+    Node tokens are int64 values on an integer graph while all are integers;
+    otherwise each is looked up among the graph's labels.
     """
-    raw = np.frombuffer(data, dtype=np.uint8)
-    starts, lengths, keep, malformed, _ = _edge_tokens(raw)
-    if malformed:  # lines before it are read first: one may hold an unknown node
-        before = int(np.searchsorted(np.cumsum(_line_breaks(raw))[starts], malformed[0] - 1))
-        starts, lengths = starts[:before], lengths[:before]
     int_graph = isinstance(graph.node_labels[0], (int, np.integer))
-    values = _decimal_values(raw, starts[0::2], lengths[0::2]) if int_graph else None
-    codes = _decimal_values(raw, starts[1::2], lengths[1::2])  # "07" and "7" are two communities
-    if values is None or codes is None:
-        tokens = _kept_tokens(data.decode("utf-8", "surrogatepass"), keep)[:len(starts)]
-
-    if values is not None:
-        node = _int_label_positions(graph, values)
-    elif int_graph:  # a token such as "07" names node 7: normalize each distinct token once
-        index = graph.label_index
-        node_of = {tok: index.get(_normalize_labels([tok])[0], -1)
-                   for tok in dict.fromkeys(tokens[0::2])}
-        node = np.fromiter(map(node_of.__getitem__, tokens[0::2]), dtype=np.int64,
-                           count=len(starts) // 2)
-    else:
-        node = np.fromiter(map(graph.label_index.get, tokens[0::2], itertools.repeat(-1)),
-                           dtype=np.int64, count=len(starts) // 2)
+    read = _truth_rows(data, np.int64) if int_graph else None
+    nodes, names, malformed = read or _truth_rows(data, object)
+    if nodes.dtype == np.int64:
+        node = _int_label_positions(graph, nodes)
+    else:  # each token is looked up among the graph's labels
+        tokens = nodes.tolist()
+        if int_graph:  # "07" names node 7
+            tokens = [_normalize_labels([tok])[0] for tok in tokens]
+        node = np.fromiter(map(graph.label_index.get, tokens, itertools.repeat(-1)),
+                           dtype=np.int64, count=len(tokens))
     known = node >= 0
     if not ignore_extra and not known.all():
         first = int(np.argmin(known))
-        if values is not None:
-            label = int(values[first])
-        else:
-            label = _normalize_labels([tokens[2 * first]])[0] if int_graph else tokens[2 * first]
-        lineno = int(_line_breaks(raw)[:starts[2 * first]].sum()) + 1
-        raise EdgeListError(f"line {lineno}: unknown node label {label!r}")
+        label = _normalize_labels([nodes[first]])[0] if int_graph else nodes[first]
+        raise EdgeListError(f"line {_data_line_number(data, first)}: unknown node label {label!r}")
     if malformed:
         raise EdgeListError(f"line {malformed[0]}: expected 'node community', "
                             f"got {malformed[1]} tokens")
-
-    if codes is not None:
-        community = _first_appearance_codes(codes[known])
-    else:
-        names = list(itertools.compress(tokens[1::2], known.tolist()))
-        ids = {c: i for i, c in enumerate(dict.fromkeys(names))}
-        community = np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(names))
-    return node[known], community
+    # the ids are codes by first appearance, until lines naming no graph node are dropped
+    return node[known], names if known.all() else _first_appearance_codes(names[known])
 
 
 def _int_label_positions(graph, values):

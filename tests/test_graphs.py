@@ -169,8 +169,8 @@ def _random_truth_text(rng, names, extra):
         nodes.pop()  # a graph node without a community
     nodes += [str(v) for v in rng.choice(names + extra, size=int(rng.integers(0, 6)))]
     # communities are strings: "07" and "7" are two
-    communities = [["3", "1", "12", "0"], ["7", "07", "1", "007"],
-                   ["0", "c", "07", "7", "\xe9"]][int(rng.integers(3))]
+    communities = [["3", "1", "12", "0"], ["7", "07", "1", "007"], ["0", "c", "07", "7", "\xe9"],
+                   ["1", "+1", "01", "-0", "0"]][int(rng.integers(4))]
     lines = []
     for node in rng.permutation(nodes):
         if rng.random() < 0.15:
@@ -297,6 +297,9 @@ EDGE_CASES = [
     "999999999999999999 1\n1 2\n", "0 1\n1 2\n\n2 0\n3 3\n",
     "0\u20031\u20281\xa02\x852\u30000\n", "a\u2029b\u205fc d\n", "0 1\r\x852 3 4\n",
     "é 1\n1\u202f2\n", "0 1\x1f\n1\t2\x1d# x\n",
+    "9223372036854775808 1\n1 2\n2 0\n", "-0 0\n0 1\n1 -0\n", "+5 x\nx 5\n", "1.5 2\n2 3\n",
+    "0 1\n,,\n", "0 1\n1 2 #c\n", "-1 9223372036854775807\n",
+    "-5000000000000000000 5000000000000000000\n0 -5000000000000000000\n",
 ]
 
 
@@ -460,13 +463,15 @@ def test_ground_truth_matches_reference_in_tiny_chunks(style, chunk_bytes, monke
 @pytest.mark.parametrize("chunk_bytes", range(1, 14))
 def test_chunks_end_with_whole_lines(chunk_bytes, monkeypatch):
     monkeypatch.setattr(graphs, "CHUNK_BYTES", chunk_bytes)
-    data = "0 1\r\n12345 67890\n# comment, 3 4\x1e5 6\r7 8\r\n\r\n\f9\v10".encode()
+    data = "0 1\r\n12345 67890\n# comment, 3 4\x1e5 6\r7 8\r\n\r\n\f9\v10\x85é 1\u2028\u20292 3\n4 5".encode()
     pieces = list(graphs._chunks(data))
     assert [start for start, _ in pieces] == [0] + [end for _, end in pieces[:-1]]
     assert pieces[-1][1] == len(data)
     for start, end in pieces[:-1]:
         assert end - start >= chunk_bytes
         assert data[end - 1:end + 1] != b"\r\n"
+        # the piece ends at the first line break that ends at least chunk_bytes into it
+        assert len(data[start + chunk_bytes - 1:end].decode(errors="ignore").splitlines()) == 1
     lines = [data[start:end].decode().splitlines() for start, end in pieces]
     assert sum(lines, []) == data.decode().splitlines()
 
@@ -485,6 +490,9 @@ CHUNK_CASES = {
     "padded numeral among integers": "07 7\n7 8\n8 007\n10 8\n12 10\n",
     "text labels": "v0 v1\nv1 v2\nv2 v0\nv2 v10\nv10 v3\n",
     "malformed line after text": "a b\nb c\nc a\n1 2\n2 3\n3 1\n" * 2 + "3 1 4\n",
+    "comment and blank lines across chunks": "0 1\n# one, 2 3\n\n  \n#\n\t# x y z\n\n1 2\n2 0\n",
+    "int64-overflowing numeral among integers": "0 1\n1 2\n2 9223372036854775808\n"
+                                                "9223372036854775808 0\n",
 }
 CHUNK_ERRORS = {"malformed last line": "^line 16: expected 2 tokens, got 3 ",
                 "malformed line after text": "^line 13: expected 2 tokens, got 3 "}
