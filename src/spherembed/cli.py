@@ -33,7 +33,7 @@ DEFAULTS = {f.name: f.default for f in fields(PipelineConfig)}
 # planted graphs read below 0.05, the early stops at n >= 2 000 near 0.6
 RELGRAD_WARNING = 0.1
 # options of the embedding stage, which a partition --embedding run does not run
-SOLVER_ONLY = ("descriptor", "d0", "tol", "max_iter", "momentum", "embedding_kind", "trace_delta")
+SOLVER_ONLY = ("descriptor", "d0", "tol", "max_iter", "momentum", "embedding_kind")
 
 
 def _add_embed_options(p):
@@ -51,9 +51,6 @@ def _add_embed_options(p):
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"], help="run seed")
     p.add_argument("--embedding-kind", choices=["spherical", "ellipsoidal"],
                    default="spherical", help="coordinate system for the embedding CSV only")
-    p.add_argument("--trace-delta", action="store_true",
-                   help="add the criticality column to the trace CSV "
-                        "(plain solver only, --no-momentum)")
     p.add_argument("--timings", action="store_true",
                    help="report per-stage wall-clock times on stderr")
 
@@ -86,9 +83,10 @@ def build_parser():
 
     p_plot.add_argument("--embedding", required=True, help="embedding CSV")
     p_plot.add_argument("--partition", help="partition CSV for point colors")
-    p_plot.add_argument("--output", help="SVG output path (default: <output-dir>/embedding.svg)")
+    plot_target = p_plot.add_mutually_exclusive_group()
+    plot_target.add_argument("--output", help="SVG output path (default: <output-dir>/embedding.svg)")
     parser.commands = {"embed": p_embed, "partition": p_part, "plot": p_plot}
-    for p in parser.commands.values():
+    for p in (p_embed, p_part, plot_target):
         p.add_argument("--output-dir",
                        help=f"output directory (default: ${OUTPUT_DIR_ENV} or '.')")
     return parser
@@ -106,8 +104,6 @@ def _parse_args(argv):
         for dest in (dest for dest in SOLVER_ONLY if given[dest] is not None):
             option = ("--no-" if given[dest] is False else "--") + dest.replace("_", "-")
             sub.error(f"{option} needs --pipeline: a run from --embedding runs no solver")
-    elif args.command != "plot" and args.trace_delta and args.momentum:
-        sub.error("--trace-delta needs --no-momentum: the momentum solver records no delta")
     return args
 
 
@@ -186,7 +182,7 @@ def cmd_run(args):
         (outdir / "embedding.csv",
          write_embedding_csv(embedding, graph, kind=args.embedding_kind)),
         (outdir / "spectrum.csv", write_spectrum_csv(embedding)),
-        (outdir / "trace.csv", write_trace_csv(result, include_delta=args.trace_delta)),
+        (outdir / "trace.csv", write_trace_csv(result)),
     ]
     if part is not None:
         outputs += [(outdir / "partition.csv", write_partition_csv(part, graph)),

@@ -619,8 +619,19 @@ def _first_appearance_codes(values):
 
 
 def write_edge_list(g):
-    """Text of the graph as one "a b" line per edge, using original labels."""
+    """Text of the graph as one "a b" line per edge, using original labels.
+
+    A line starting with '#' reads back as a comment, so an edge is written
+    with its '#' label second; ValueError if both its labels start with '#'.
+    """
     labels = g.node_labels
+    rows, cols = g._upper_edges()
+    marked = np.array([f"{lab}".startswith("#") for lab in labels], dtype=bool)
+    swap, both = marked[rows], marked[rows] & marked[cols]
+    if both.any():
+        raise ValueError(f"edge {labels[rows[both][0]]!r} {labels[cols[both][0]]!r}: "
+                         "both labels start with '#', so no line can hold it")
+    pairs = zip(np.where(swap, cols, rows).tolist(), np.where(swap, rows, cols).tolist())
     lines = [f"# nodes={g.n} edges={g.m}"]
-    lines += [f"{labels[i]} {labels[j]}" for i, j in g.edges()]
+    lines += [f"{labels[i]} {labels[j]}" for i, j in pairs]
     return "\n".join(lines) + "\n"

@@ -67,8 +67,8 @@ class SolveResult:
     objective itself). relgrad is the relative Riemannian gradient
     ||grad|| / ||Mx|| at the final iterate, with
     grad_i = (Mx)_i - (x_i . (Mx)_i) x_i: it is 0 exactly at a critical
-    point and, unlike delta, does not grow with n. step_norms_sq and
-    delta_trace are recorded by the plain method only.
+    point and, unlike delta, does not grow with n. step_norms_sq is
+    recorded by the plain method only.
     """
 
     x: np.ndarray
@@ -80,7 +80,6 @@ class SolveResult:
     method: str
     relgrad: float = None
     step_norms_sq: np.ndarray = None
-    delta_trace: np.ndarray = None
 
 
 def _row_norms(X, out=None):
@@ -175,8 +174,8 @@ def solve(k, cfg, rng=None, x0=None):
     write K X into B and return B, and k.apply(X) must return a new array.
     The result's x is one of the three blocks, so no later call shares it.
 
-    Once the loop ends, relgrad costs a few more such passes, through the
-    last K x and the third block; it reads k.diagonal_delta().
+    Once the loop ends, delta and relgrad cost a few more such passes,
+    through the last K x and the third block; relgrad reads k.diagonal_delta().
 
     Stops once the relative change of that series drops below cfg.tol
     (tested from the second update on) or after cfg.max_iter updates, in
@@ -194,7 +193,6 @@ def solve(k, cfg, rng=None, x0=None):
     # the plain method reuses the row norms of Kx for the next projection
     norms_buffer = np.empty(len(x))
     y_norms = _row_norms(y, out=norms_buffer) if plain else None
-    deltas = [float(np.sum(y_norms) - f)] if plain else None
     steps = []
     j = 0
     converged = False
@@ -225,7 +223,6 @@ def solve(k, cfg, rng=None, x0=None):
         f = _finite_objective(x, y, j)
         if plain:
             y_norms = _row_norms(y, out=norms_buffer)
-            deltas.append(float(np.sum(y_norms) - f))
             trace.append(f)
         if j >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
             converged = True
@@ -235,20 +232,15 @@ def solve(k, cfg, rng=None, x0=None):
                        trace=np.array(trace), iterations=j, converged=converged,
                        method="gpm" if plain else "gpmm",
                        relgrad=_relative_gradient(k, x, y, w),
-                       step_norms_sq=np.array(steps) if plain else None,
-                       delta_trace=np.array(deltas) if plain else None)
+                       step_norms_sq=np.array(steps) if plain else None)
 
 
-def write_trace_csv(result, include_delta=False):
-    """Text of result.trace as "iteration,objective[,delta_criterion]".
+def write_trace_csv(result):
+    """Text of result.trace under the fixed header "iteration,objective".
 
     The objective column is the series the stop test read (see SolveResult):
     the objective Tr(x_j^T K x_j) for the plain method, the surrogate
     Tr((K x_{j-1})^T x_j) with momentum. The header keeps its name either
-    way.
+    way; the final delta goes to summary.json, not here.
     """
-    header, values = ["iteration", "objective"], result.trace
-    if include_delta and result.delta_trace is not None:
-        header.append("delta_criterion")
-        values = np.column_stack([result.trace, result.delta_trace])
-    return _csv_text(header, range(len(result.trace)), values)
+    return _csv_text(["iteration", "objective"], range(len(result.trace)), result.trace)

@@ -42,17 +42,21 @@ def rng():
     return np.random.default_rng(20260823)
 
 
+def child_env():
+    """The environment under which a child interpreter imports this spherembed."""
+    src = str(Path(spherembed.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_child(script, *args, skip_reason):
     """Run script in a fresh interpreter that imports this spherembed; skip on CHILD_SKIP.
 
     A fresh process starts with glibc's default allocator settings and an
     empty heap, so what the script measures does not depend on earlier tests.
     """
-    src = str(Path(spherembed.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     if proc.returncode == CHILD_SKIP:
         pytest.skip(skip_reason)
     assert proc.returncode == 0, proc.stderr

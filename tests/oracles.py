@@ -476,19 +476,12 @@ def reference_write_spectrum_csv(result):
     return "\n".join(lines) + "\n"
 
 
-def reference_write_trace_csv(result, include_delta=False):
-    """Text of the objective trace as "iteration,objective[,delta_criterion]"."""
-    rows = []
-    header = ["iteration", "objective"]
-    with_delta = include_delta and result.delta_trace is not None
-    if with_delta:
-        header.append("delta_criterion")
+def reference_write_trace_csv(result):
+    """Text of the objective trace as "iteration,objective"."""
+    rows = [["iteration", "objective"]]
     for i, o in enumerate(result.trace):
-        row = [str(i), repr(float(o))]
-        if with_delta:
-            row.append(repr(float(result.delta_trace[i])))
-        rows.append(row)
-    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+        rows.append([str(i), repr(float(o))])
+    return "\n".join(",".join(r) for r in rows) + "\n"
 
 
 def reference_write_partition_csv(partition, graph):
@@ -737,7 +730,6 @@ def reference_solve(k, cfg, rng=None, x0=None):
     trace = [f]
     # the plain method reuses the row norms of Kx for the next projection
     y_norms = np.linalg.norm(y, axis=1) if plain else None
-    deltas = [float(np.sum(y_norms) - f)] if plain else None
     steps = []
     j = 0
     converged = False
@@ -764,7 +756,6 @@ def reference_solve(k, cfg, rng=None, x0=None):
         f = float(np.vdot(x, y))
         if plain:
             y_norms = np.linalg.norm(y, axis=1)
-            deltas.append(float(np.sum(y_norms) - f))
         if not surrogate:
             trace.append(f)
         if j >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
@@ -774,8 +765,7 @@ def reference_solve(k, cfg, rng=None, x0=None):
     return SolveResult(x=x, objective=f, delta=delta,
                        trace=np.array(trace), iterations=j, converged=converged,
                        method="gpm" if plain else "gpmm",
-                       step_norms_sq=np.array(steps) if plain else None,
-                       delta_trace=np.array(deltas) if plain else None)
+                       step_norms_sq=np.array(steps) if plain else None)
 
 
 # ShiftedOperator's matrix build as it stood before the shift and W shared

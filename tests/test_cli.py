@@ -3,6 +3,8 @@
 import io
 import json
 import re
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BARBELL_EDGES, CHILD_SKIP, run_child
+from conftest import BARBELL_EDGES, CHILD_SKIP, child_env, run_child
 from oracles import reference_read_cluster_ids
 from spherembed import (PlantedPartitionSpec, cli, generate_planted_partition, graphs,
                         make_descriptor, pipeline, write_edge_list)
@@ -106,19 +108,21 @@ def test_unknown_flag_usage_error(k3_file):
 
 @pytest.mark.parametrize("flag, value", [("--momentum-variant", "appendix"),
                                          ("--shift-epsilon", "0.5"), ("--epsilon", "0.5"),
-                                         ("--max-rounds", "3")])
+                                         ("--max-rounds", "3"), ("--trace-delta", None)])
 @pytest.mark.parametrize("command", [["embed"], ["partition", "--pipeline"]])
-def test_removed_solver_flags_are_usage_errors(tmp_path, k3_file, command, flag, value):
+def test_removed_solver_flags_are_usage_errors(tmp_path, k3_file, capsys, command, flag, value):
     out = tmp_path / "out"
+    given = [flag] if value is None else [flag, value]
     with pytest.raises(SystemExit) as err:
-        cli.main([*command, "--input", k3_file, flag, value, "--output-dir", str(out)])
+        cli.main([*command, "--input", k3_file, *given, "--output-dir", str(out)])
     assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(given)}" in capsys.readouterr().err
     assert not out.exists()
 
 
 # options that steer the command rather than the computation
-CLI_ONLY = {"input", "output_dir", "timings", "trace_delta", "embedding_kind", "truth",
-            "embedding", "pipeline"}
+CLI_ONLY = {"input", "output_dir", "timings", "embedding_kind", "truth", "embedding",
+            "pipeline"}
 PARTITION_ONLY = {"k", "restarts", "jobs"}
 # all that a partition --embedding run accepts
 REUSE_OPTIONS = {"input", "seed", "k", "restarts", "jobs", "truth", "embedding", "output_dir",
@@ -319,7 +323,7 @@ def planted_files(tmp_path):
 
 @pytest.mark.parametrize("options", [
     ["--d0", "8"],
-    ["--d0", "6", "--descriptor", "normlap", "--no-momentum", "--trace-delta", "--tol", "1e-6",
+    ["--d0", "6", "--descriptor", "normlap", "--no-momentum", "--tol", "1e-6",
      "--max-iter", "40", "--seed", "5", "--embedding-kind", "ellipsoidal"],
 ], ids=["defaults", "every-solver-option"])
 def test_embed_and_partition_pipeline_write_the_same_embedding(tmp_path, planted_files,
@@ -409,17 +413,15 @@ REUSE_SOLVER_OPTIONS = [(["--descriptor", "normlap"], "--descriptor"), (["--d0",
                         (["--tol", "1e-3"], "--tol"), (["--max-iter", "5"], "--max-iter"),
                         (["--max", "5"], "--max-iter"), (["--momentum"], "--momentum"),
                         (["--no-momentum"], "--no-momentum"),
-                        (["--embedding-kind", "spherical"], "--embedding-kind"),
-                        (["--trace-delta"], "--trace-delta")]
+                        (["--embedding-kind", "spherical"], "--embedding-kind")]
 USAGE_ERRORS = [
     *[(["partition", "--input", "G", "--embedding", "E", *given], named)
       for given, named in REUSE_SOLVER_OPTIONS],
     (["partition", "--input", "G", "--pipeline", "--embedding", "E"], "not allowed with"),
     (["partition", "--input", "G"], "one of the arguments --embedding --pipeline is required"),
     (["plot", "--embedding", "E", "--timings"], "unrecognized arguments: --timings"),
-    (["embed", "--input", "G", "--trace-delta"], "--trace-delta needs --no-momentum"),
-    (["partition", "--input", "G", "--pipeline", "--trace-delta"], "--trace-delta needs"),
-    (["embed", "--input", "G", "--momentum", "--trace-delta"], "--trace-delta needs"),
+    (["plot", "--embedding", "E", "--output", "S"],
+     "argument --output-dir: not allowed with argument --output"),
 ]
 
 
@@ -429,13 +431,13 @@ def test_usage_errors_exit_2_before_reading_input(tmp_path, barbell_file, monkey
                                                    argv, message):
     monkeypatch.setattr(cli, "load_edge_list", lambda *a, **k: pytest.fail("graph loaded"))
     monkeypatch.setattr(cli, "read_embedding_csv", lambda *a, **k: pytest.fail("CSV read"))
-    files = {"G": barbell_file, "E": str(tmp_path / "embedding.csv")}
+    files = {"G": barbell_file, "E": str(tmp_path / "embedding.csv"), "S": str(tmp_path / "p.svg")}
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
         cli.main([files.get(arg, arg) for arg in argv] + ["--output-dir", str(out)])
     assert err.value.code == 2
     assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists() and not Path(files["S"]).exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -710,20 +712,55 @@ def test_plot_names_the_line_of_a_bad_row(tmp_path, case, chunk_bytes, monkeypat
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_plot_without_output_writes_into_the_output_dir(tmp_path, barbell_file, monkeypatch,
+                                                        source):
+    out = tmp_path / "out"
+    cli.main(["embed", "--input", barbell_file, "--d0", "4", "--output-dir", str(out)])
+    target = tmp_path / "plots"
+    argv = ["plot", "--embedding", str(out / "embedding.csv")]
+    if source == "flag":
+        argv += ["--output-dir", str(target)]
+    else:
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(target))
+    assert cli.main(argv) == 0
+    assert [p.name for p in target.iterdir()] == ["embedding.svg"]
+    assert (target / "embedding.svg").read_text().startswith("<svg")
+
+
+# what the shell reads from `python -m spherembed.cli`, and what such a run leaves
+PROCESS_EXITS = {
+    "embed": (0, "", ["embed", "--input", "G", "--d0", "3", "--output-dir", "out"], ["out"]),
+    "missing-input": (2, "No such file",
+                      ["embed", "--input", "missing.txt", "--output-dir", "out"], []),
+    "trace-delta": (2, "unrecognized arguments: --trace-delta",
+                    ["embed", "--input", "G", "--trace-delta", "--output-dir", "out"], []),
+    "plot-output-and-output-dir": (2, "not allowed with argument --output",
+                                   ["plot", "--embedding", "E", "--output", "a.svg",
+                                    "--output-dir", "out"], []),
+}
+
+
+@pytest.mark.parametrize("case", PROCESS_EXITS)
+def test_exit_status_through_a_process(tmp_path, barbell_file, case):
+    status, message, argv, made = PROCESS_EXITS[case]
+    files = {"G": barbell_file, "E": str(tmp_path / "embedding.csv")}
+    run = tmp_path / "run"
+    run.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "spherembed.cli",
+                           *[files.get(arg, arg) for arg in argv]],
+                          cwd=run, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == status, proc.stderr
+    assert message in proc.stderr
+    assert sorted(p.name for p in run.iterdir()) == made
+
+
 def test_output_dir_env_var(tmp_path, k3_file, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(target))
     rc = cli.main(["embed", "--input", k3_file])
     assert rc == 0
     assert (target / "summary.json").exists()
-
-
-def test_trace_delta_column(tmp_path, k3_file):
-    out = tmp_path / "out"
-    cli.main(["embed", "--input", k3_file, "--no-momentum", "--trace-delta",
-              "--output-dir", str(out)])
-    header = (out / "trace.csv").read_text().splitlines()[0]
-    assert header == "iteration,objective,delta_criterion"
 
 
 def test_ellipsoidal_embedding_kind(tmp_path, barbell_file):

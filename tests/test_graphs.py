@@ -211,9 +211,20 @@ def test_ground_truth_matches_reference(style):
 
 def test_write_edge_list_round_trip(rng):
     g = random_connected_graph(rng, 11, extra_edges=6)
-    back = load_edge_list(io.StringIO(write_edge_list(g)))
-    assert back.node_labels == g.node_labels
-    assert list(back.edges()) == list(g.edges())
+    # "#b" sorts before "a", so the edge's first label would open a comment line
+    hashed = load_edge_list(io.StringIO("a #b\nb c\na c\n"))
+    assert (hashed.n, hashed.m) == (4, 3)
+    for graph in (g, hashed):
+        back = load_edge_list(io.StringIO(write_edge_list(graph)))
+        assert back.node_labels == graph.node_labels
+        assert list(back.edges()) == list(graph.edges())
+
+
+def test_write_edge_list_rejects_an_edge_between_two_hash_labels():
+    # only a graph built in code can join two such labels; no line can hold that edge
+    both = Graph.from_edges(3, np.array([0, 1]), np.array([1, 2]), ["#a", "#b", "c"])
+    with pytest.raises(ValueError, match="'#a' '#b': both labels start with '#'"):
+        write_edge_list(both)
 
 
 def _assert_same_graph(got, want):

@@ -254,14 +254,13 @@ def test_matches_reference_solver_on_planted_graph(kind, method):
     np.testing.assert_allclose(res.trace, ref.trace, rtol=0,
                                atol=1e-11 * np.abs(ref.trace).max())
     if method["momentum"]:
-        assert res.step_norms_sq is None and res.delta_trace is None
+        assert res.step_norms_sq is None
         return
     np.testing.assert_allclose(res.step_norms_sq, ref.step_norms_sq, rtol=0,
                                atol=1e-11 * ref.step_norms_sq.max())
     # delta is sum_i ||y_i|| - f, a difference of two sums of size ~n, so
     # its rounding is on f's scale
-    np.testing.assert_allclose(res.delta_trace, ref.delta_trace, rtol=0,
-                               atol=1e-14 * ref.objective)
+    np.testing.assert_allclose(res.delta, ref.delta, rtol=0, atol=1e-14 * ref.objective)
 
 
 @pytest.mark.parametrize("momentum", [False, True], ids=["gpm", "gpmm"])
@@ -351,10 +350,5 @@ def test_trace_csv_layout(barbell):
     assert lines[0] == "iteration,objective"
     assert len(lines) == len(res.trace) + 1
     assert lines[1].startswith("0,")
-
-    text = write_trace_csv(res, include_delta=True)
-    header = text.splitlines()[0]
-    assert header == "iteration,objective,delta_criterion"
     # float cells round-trip exactly through repr
-    cell = text.splitlines()[-1].split(",")[1]
-    assert float(cell) == res.trace[-1]
+    assert float(lines[-1].split(",")[1]) == res.trace[-1]

@@ -72,22 +72,18 @@ def test_spectrum_csv_matches_reference(rng, block_rows):
 
 
 @pytest.mark.parametrize("momentum", [False, True], ids=["plain", "momentum"])
-@pytest.mark.parametrize("include_delta", [False, True])
-def test_trace_csv_matches_reference(barbell, block_rows, momentum, include_delta):
+def test_trace_csv_matches_reference(barbell, block_rows, momentum):
     op = ShiftedOperator(make_descriptor(barbell, "modularity"))
     res = solve(op, SolverConfig(d0=4, seed=0, momentum=momentum))
     assert len(res.trace) > 3  # more rows than the small block size
-    got = write_trace_csv(res, include_delta=include_delta)
-    assert got == reference_write_trace_csv(res, include_delta=include_delta)
+    assert write_trace_csv(res) == reference_write_trace_csv(res)
 
 
 def test_trace_csv_with_awkward_values_matches_reference(rng, barbell, block_rows):
     op = ShiftedOperator(make_descriptor(barbell, "modularity"))
     res = solve(op, SolverConfig(d0=4, seed=0, momentum=False))
-    res.trace, res.delta_trace = awkward_values(rng, len(res.trace), 2).T
-    for include_delta in (False, True):
-        got = write_trace_csv(res, include_delta=include_delta)
-        assert got == reference_write_trace_csv(res, include_delta=include_delta)
+    res.trace = awkward_values(rng, len(res.trace), 1)[:, 0]
+    assert write_trace_csv(res) == reference_write_trace_csv(res)
 
 
 @pytest.mark.parametrize("label_kind", LABEL_KINDS)
