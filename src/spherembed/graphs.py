@@ -258,15 +258,14 @@ _WIDE_BREAKS = "\x85\u2028\u2029"
 
 
 def _read_utf8(source):
-    """Whole input as UTF-8 bytes, without a leading byte-order mark."""
+    """Whole input as UTF-8 bytes without a leading byte-order mark, or UnicodeDecodeError."""
     data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
-    if isinstance(data, bytes):
-        if data.isascii():
-            return data
-        data = data.decode("utf-8-sig")
-    else:
-        data = data.removeprefix("\ufeff")
-    return data.encode("utf-8", "surrogatepass")
+    if isinstance(data, str):
+        return data.removeprefix("\ufeff").encode("utf-8", "surrogatepass")
+    if not data.isascii():
+        data.decode("utf-8")  # checked only: the chunks are decoded as they are read
+        data = data.removeprefix(b"\xef\xbb\xbf")
+    return data
 
 
 # the line breaks of str.splitlines() as UTF-8 bytes, which a chunk may end
@@ -623,10 +622,21 @@ def write_edge_list(g):
 
     A line starting with '#' reads back as a comment, so an edge is written
     with its '#' label second; ValueError if both its labels start with '#'.
+    ValueError too, naming the label, if it is empty or holds a blank, comma
+    or line break, or if another reads back as the same node ("07" and "7").
     """
-    labels = g.node_labels
+    labels = [f"{lab}" for lab in g.node_labels]
+    written = np.flatnonzero(g.degrees).tolist()  # an isolated node has no line
+    for label in map(labels.__getitem__, written):
+        if label.split() != [label] or "," in label:
+            raise ValueError(f"label {label!r} is empty or holds a blank, comma or line break")
+    first = {}
+    for i, node in zip(written, _normalize_labels([labels[i] for i in written])):
+        if first.setdefault(node, i) != i:
+            raise ValueError(f"labels {g.node_labels[first[node]]!r} and "
+                             f"{g.node_labels[i]!r} read back as one node")
     rows, cols = g._upper_edges()
-    marked = np.array([f"{lab}".startswith("#") for lab in labels], dtype=bool)
+    marked = np.array([label.startswith("#") for label in labels], dtype=bool)
     swap, both = marked[rows], marked[rows] & marked[cols]
     if both.any():
         raise ValueError(f"edge {labels[rows[both][0]]!r} {labels[cols[both][0]]!r}: "

@@ -111,11 +111,6 @@ def make_descriptor(graph, kind):
     return DescriptorOperator(graph, s, u)
 
 
-def diagonal_shift_vector(op):
-    """Shift vector v_i = 1 + sum_{k != i} |M_ik|: ShiftedOperator(op).shift."""
-    return ShiftedOperator(op).shift
-
-
 class ShiftedOperator:
     """The iteration matrix K: off-diagonal of M with diagonal replaced by v.
 

@@ -209,11 +209,12 @@ def vp_run(rows, graph, k, rng):
 
 
 def best_of_restarts(rows, graph, k, restarts, rng, jobs=None):
-    """Run vp_run on independently seeded restarts, keeping the best objective.
+    """Run vp_run on independently seeded restarts, keeping the best modularity.
 
     Each restart draws its generator from a spawned child of rng, so the
     seed tree is reproducible and restarts may run in parallel. The winner
-    maximizes z_tilde, with ties broken toward the lowest restart index.
+    maximizes modularity, as vp_run's best round does, ties going to the
+    lowest restart index.
     The counts k, restarts and jobs (None for one thread) are checked
     before any restart runs.
     """
@@ -234,7 +235,7 @@ def best_of_restarts(rows, graph, k, restarts, rng, jobs=None):
             results = list(pool.map(one, children))
     else:
         results = [one(c) for c in children]
-    best = max(range(restarts), key=lambda i: (results[i].z_tilde, -i))
+    best = max(range(restarts), key=lambda i: (results[i].modularity, -i))
     winner = results[best]
     winner.restart_index = best
     return winner

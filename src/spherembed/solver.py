@@ -160,9 +160,11 @@ def solve(k, cfg, rng=None, x0=None):
     reads the objective for the plain method and the surrogate
     Tr((K x_{j-1})^T x_j) with momentum.
 
-    Beyond the apply, an update makes a few dense O(n d0) passes: z_j (with
-    momentum), the row norms, the projection and one inner product, plus
-    the step norm and the next row norms for the plain method.
+    One path serves both methods. Beyond the apply, an update makes a few
+    dense O(n d0) passes: z_j (momentum, from the second update), its row
+    norms, the projection, the objective and one more inner product, the
+    step norm or the surrogate (read after the apply from the block that
+    then holds K x_{j-1}).
 
     No update allocates. The loop holds three n x d0 blocks and one n-long
     vector of row norms, made once per call: the start (the sampled columns
@@ -188,46 +190,37 @@ def solve(k, cfg, rng=None, x0=None):
     plain = not cfg.momentum
     y = k.apply(x)
     w = np.empty(x.shape)  # the third block
+    norms = np.empty(len(x))
     f = _finite_objective(x, y, 0)
     trace = [f]
-    # the plain method reuses the row norms of Kx for the next projection
-    norms_buffer = np.empty(len(x))
-    y_norms = _row_norms(y, out=norms_buffer) if plain else None
     steps = []
     j = 0
     converged = False
     while j < cfg.max_iter:
         j += 1
-        r = 0.0 if plain else (j - 1) / (j + 2)
-        z, norms = y, y_norms
-        if r > 0:
+        z = y
+        if not plain and j > 1:  # r_j = (j-1)/(j+2), 0 at the first update
             z = np.subtract(y, w, out=w)
-            z *= r
+            z *= (j - 1) / (j + 2)
             z += y
-            norms = _row_norms(z, out=norms_buffer)
-            # extrapolation can in principle produce a zero row; fall back
-            # to the non-extrapolated power-iteration row there
-            if not norms.all():
-                bad = norms == 0.0
-                z[bad] = y[bad]
-                norms = None
-        if norms is None:  # momentum's first update, or rows that fell back
-            norms = _row_norms(z, out=norms_buffer)
+        _row_norms(z, out=norms)
+        if not norms.all():
+            # extrapolation can in principle zero a row: take K x_{j-1}'s there
+            bad = norms == 0.0
+            z[bad] = y[bad]
+            norms[bad] = _row_norms(z[bad])
         x_new = project_rows(z, norms, out=w)
         if plain:
             step = np.subtract(x_new, x, out=x)  # x_{j-1} is not needed after this
             steps.append(float(np.vdot(step, step)))
-        else:
-            trace.append(float(np.vdot(y, x_new)))
         x, y, w = x_new, k.apply(x_new, out=x), y
         f = _finite_objective(x, y, j)
-        if plain:
-            y_norms = _row_norms(y, out=norms_buffer)
-            trace.append(f)
+        # w now holds K x_{j-1}: momentum's surrogate is Tr((K x_{j-1})^T x_j)
+        trace.append(f if plain else float(np.vdot(w, x)))
         if j >= 2 and abs(trace[-1] - trace[-2]) / trace[-2] < cfg.tol:
             converged = True
             break
-    delta = float(np.sum(_row_norms(y, out=norms_buffer) if y_norms is None else y_norms) - f)
+    delta = float(np.sum(_row_norms(y, out=norms)) - f)
     return SolveResult(x=x, objective=f, delta=delta,
                        trace=np.array(trace), iterations=j, converged=converged,
                        method="gpm" if plain else "gpmm",

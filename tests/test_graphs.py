@@ -15,6 +15,7 @@ from oracles import (dense_adjacency, make_graph, random_connected_graph,
 from spherembed import (EdgeListError, Graph, PlantedPartitionSpec,
                         generate_planted_partition, graphs, largest_connected_component,
                         load_edge_list, load_ground_truth, write_edge_list)
+from spherembed.embedding import read_embedding_csv
 
 
 def test_parse_whitespace_comma_comments():
@@ -227,6 +228,32 @@ def test_write_edge_list_rejects_an_edge_between_two_hash_labels():
         write_edge_list(both)
 
 
+@pytest.mark.parametrize("label", ["a b", "", "a,b", "a\nb", "a\u2028b", "a\x1cb"])
+def test_write_edge_list_rejects_a_label_that_is_not_one_token(label):
+    # the loader splits on blanks and commas and ends lines at line breaks
+    g = Graph.from_edges(3, np.array([0, 1]), np.array([1, 2]), [label, "c", "d"])
+    with pytest.raises(ValueError, match=f"^label {re.escape(repr(label))} is empty or holds"):
+        write_edge_list(g)
+
+
+@pytest.mark.parametrize("labels, pair", [
+    (["07", "7", "8"], "'07' and '7'"),         # every label reads as an integer
+    ([7, "7", "x"], "7 and '7'"),               # "x" does not, so 7 reads back as "7"
+    (["07", "7", "8", "x"], "'07' and '7'"),    # isolated, "x" is not written
+])
+def test_write_edge_list_rejects_labels_that_read_back_as_one(labels, pair):
+    g = Graph.from_edges(len(labels), np.array([0, 1]), np.array([1, 2]), labels)
+    with pytest.raises(ValueError, match=f"^labels {pair} read back as one node$"):
+        write_edge_list(g)
+
+
+def test_write_edge_list_checks_only_the_labels_it_writes():
+    g = Graph.from_edges(4, np.array([0, 1]), np.array([1, 2]), ["a", "b", "c", "d e"])
+    back = load_edge_list(io.StringIO(write_edge_list(g)))
+    assert back.node_labels == ("a", "b", "c")
+    assert list(back.edges()) == [(0, 1), (1, 2)]
+
+
 def _assert_same_graph(got, want):
     assert got.node_labels == want.node_labels
     assert list(map(type, got.node_labels)) == list(map(type, want.node_labels))
@@ -337,6 +364,23 @@ def test_byte_order_mark_ignored(kind, tmp_path):
     assert g.node_labels == (0, 1, 2)
     truth = load_ground_truth(_open_as(kind, "\ufeff0 a\n1 a\n2 b\n", tmp_path), g)
     assert truth.tolist() == [0, 0, 1]
+
+
+@pytest.mark.parametrize("data, reason", [
+    (b"0 1\n\xff 2\n", "byte 0xff in position 4: invalid start byte"),
+    (b"\xed\xa0\x80 1\n", "byte 0xed in position 0: invalid continuation byte"),  # a surrogate
+], ids=["invalid byte", "encoded surrogate"])
+def test_bytes_that_are_not_utf8_are_rejected(data, reason):
+    g = load_edge_list(io.StringIO("0 1\n1 2\n"))
+    with pytest.raises(UnicodeDecodeError, match=f"^'utf-8' codec can't decode {reason}$"):
+        load_edge_list(io.BytesIO(data))
+    with pytest.raises(UnicodeDecodeError, match=f"^'utf-8' codec can't decode {reason}$"):
+        load_ground_truth(io.BytesIO(data), g)
+    header = b"node,coord_1\n"  # moves the position by its length
+    position = int(re.search(r"position (\d+)", reason)[1])
+    shifted = reason.replace(f"position {position}", f"position {position + len(header)}")
+    with pytest.raises(UnicodeDecodeError, match=f"^'utf-8' codec can't decode {shifted}$"):
+        read_embedding_csv(io.BytesIO(header + data))
 
 
 def test_component_tie_among_many_components(rng):

@@ -14,7 +14,6 @@ from oracles import (REFERENCE_DESCRIPTORS, ReferenceShiftedOperator, dense_adja
                      make_graph, random_connected_graph, reference_shifted_matrix)
 from spherembed import (Graph, PlantedPartitionSpec, ShiftedOperator,
                         generate_planted_partition, make_descriptor)
-from spherembed.operators import diagonal_shift_vector
 
 
 def dense_descriptor(A, kind):
@@ -58,7 +57,7 @@ def test_single_edge_shifted_matrix(single_edge):
 
 
 def test_shift_vector_single_edge(single_edge):
-    v = diagonal_shift_vector(make_descriptor(single_edge, "modularity"))
+    v = ShiftedOperator(make_descriptor(single_edge, "modularity")).shift
     assert np.allclose(v, [1.25, 1.25])
 
 
@@ -227,7 +226,7 @@ def test_shift_margin_is_at_least_one(rng):
     g = random_connected_graph(rng, 20, extra_edges=15)
     for kind in ("modularity", "normlap"):
         op = make_descriptor(g, kind)
-        v = diagonal_shift_vector(op)
+        v = ShiftedOperator(op).shift
         assert np.all(v - op.offdiagonal_abs_sums() >= 1.0 - 1e-15)
 
 
@@ -325,7 +324,6 @@ def test_shifted_build_matches_reference_bytes(kind):
                       (op._K.indptr, K.indptr)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert op._u.tobytes() == (-fused[:, [g.n]].toarray().ravel()).tobytes()
-    assert diagonal_shift_vector(base).tobytes() == shift.tobytes()
 
 
 SMALL_GRAPHS = {

@@ -232,11 +232,30 @@ def test_single_restart_equals_vp_run_on_child(rng, barbell):
 
 
 def test_more_restarts_never_worse(rng, barbell):
-    # spawned children are shared prefixes, so the best objective is monotone
+    # spawned children are shared prefixes, so the winner's modularity is monotone
     rows = unit_rows(rng, 6, 3)
-    z3 = best_of_restarts(rows, barbell, 3, 3, np.random.default_rng(2)).z_tilde
-    z6 = best_of_restarts(rows, barbell, 3, 6, np.random.default_rng(2)).z_tilde
-    assert z6 >= z3 - 1e-12
+    q3 = best_of_restarts(rows, barbell, 3, 3, np.random.default_rng(2)).modularity
+    q6 = best_of_restarts(rows, barbell, 3, 6, np.random.default_rng(2)).modularity
+    assert q6 >= q3
+
+
+def test_restart_winner_has_the_largest_modularity():
+    """The winner is the largest-Q restart, also where another has the larger z_tilde."""
+    graph, rows = planted_rows(200, 5, 5)
+    runs = [vp_run(rows, graph, 10, child) for child in np.random.default_rng(5).spawn(5)]
+    q = [run.modularity for run in runs]
+    assert np.argmax([run.z_tilde for run in runs]) != np.argmax(q)  # the rules disagree here
+    picked = best_of_restarts(rows, graph, 10, 5, np.random.default_rng(5))
+    assert picked.restart_index == np.argmax(q)
+    assert picked.modularity == max(q)
+    assert picked.labels.tobytes() == runs[picked.restart_index].labels.tobytes()
+
+
+def test_restart_modularity_tie_goes_to_the_lowest_index(barbell):
+    # identical rows give every restart the same partition, so Q ties
+    rows = np.ones((6, 3)) / np.sqrt(3)
+    picked = best_of_restarts(rows, barbell, 1, 4, np.random.default_rng(0))
+    assert picked.restart_index == 0
 
 
 def test_parallel_restarts_match_serial(rng, barbell):
