@@ -240,8 +240,8 @@ def main(argv=None):
         # first: LinAlgError is a ValueError
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (EdgeListError, FileNotFoundError, IsADirectoryError, PermissionError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (EdgeListError, FileExistsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

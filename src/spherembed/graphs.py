@@ -175,18 +175,18 @@ def _csv_rows(source, is_header, header_error, dtype=float, columns=None):
     comma. Cells v_1..v_c, with c = min(columns, r) (all r by default), must
     be finite numbers of dtype and are returned; later cells are not parsed.
     A row that breaks a rule raises ValueError naming its line. Each chunk
-    is parsed into one block sized from the line count, so labels are the
-    only per-row objects.
+    is parsed into one block, so labels are the only per-row objects, and
+    the blocks are joined once the input's bytes are released.
     """
     data = _read_utf8(source)
-    labels, values, filled = [], None, 0
+    labels, blocks, width = [], [], None
     for first, lines in _text_lines(data):
-        if values is None:  # the first chunk starts with the header
+        if width is None:  # the first chunk starts with the header
             if not is_header(lines[0]):
                 raise ValueError(header_error)
             width = lines[0].count(",")
             parsed = width if columns is None else min(columns, width)
-            values = np.empty((_line_bound(data) - 1, parsed), dtype=dtype)
+            blocks.append(np.empty((0, parsed), dtype=dtype))
             del lines[0]
             first += 1
         body = list(filter(str.strip, lines))
@@ -199,12 +199,11 @@ def _csv_rows(source, is_header, header_error, dtype=float, columns=None):
         if block is None or not np.isfinite(block).all():
             _raise_bad_row(lines, first, width, parsed, dtype)
         labels += [line.partition(",")[0] for line in body]
-        values[filled:filled + len(block)] = block
-        filled += len(block)
-    if values is None:
+        blocks.append(block)
+    if width is None:
         raise ValueError(header_error)
-    values.resize((filled, parsed), refcheck=False)  # in place: no view of values exists
-    return labels, values
+    del data
+    return labels, np.concatenate(blocks)
 
 
 def _parse_cells(lines, dtype, delimiter=",", usecols=None, ndmin=2):
@@ -252,11 +251,6 @@ def _normalize_labels(raw_labels):
         return [str(t) for t in raw_labels]
 
 
-# the line breaks of str.splitlines(), in ASCII and beyond it
-_ASCII_BREAKS = "\n\v\f\r\x1c\x1d\x1e"
-_WIDE_BREAKS = "\x85\u2028\u2029"
-
-
 def _read_utf8(source):
     """Whole input as UTF-8 bytes without a leading byte-order mark, or UnicodeDecodeError."""
     data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
@@ -272,8 +266,7 @@ def _read_utf8(source):
 # after; each starts with an ASCII or a lead byte, so none matches inside
 # another character, and "\r\n" is one break, so a chunk never ends between
 # its two bytes
-_BREAK = re.compile(b"|".join([rb"\r\n", b"[" + re.escape(_ASCII_BREAKS.encode()) + b"]",
-                               *(re.escape(c.encode()) for c in _WIDE_BREAKS)]))
+_BREAK = re.compile("\r\n|[\n\v\f\r\x1c\x1d\x1e]|\x85|\u2028|\u2029".encode())
 
 
 def _chunks(data):
@@ -297,23 +290,6 @@ def _text_lines(data):
         lines = str(memoryview(data)[start:end], "utf-8", "surrogatepass").splitlines()
         first, next_line = next_line, next_line + len(lines)  # before the caller edits lines
         yield first, lines
-
-
-_NOT_ASCII_BREAK = bytes(sorted(set(range(256)) - set(_ASCII_BREAKS.encode())))
-
-
-def _line_bound(data):
-    """At least the number of lines str.splitlines() finds in the text of UTF-8 bytes.
-
-    Exactly that number unless the text holds "\r\n", whose two bytes are
-    counted as two breaks.
-    """
-    # translate allocates as much as it reads, so it reads 64 KB at a time
-    breaks = sum(len(data[start:start + 65536].translate(None, _NOT_ASCII_BREAK))
-                 for start in range(0, len(data), 65536))
-    if not data.isascii():
-        breaks += sum(data.count(c.encode()) for c in _WIDE_BREAKS)
-    return breaks + (not data.endswith(tuple(c.encode() for c in _ASCII_BREAKS + _WIDE_BREAKS)))
 
 
 def _run_starts(ordered):
@@ -362,20 +338,25 @@ def _first_bad_line(lines, first):
     return None
 
 
-def _pair_rows(data, dtype):
-    """(rows, bad) for each chunk of UTF-8 bytes: _pairs and _first_bad_line of its lines.
+def _pair_blocks(data, dtype, convert):
+    """(blocks, bad) of UTF-8 bytes: convert of each chunk's _pairs, and the first bad line.
 
-    A chunk with a bad line gives the rows of the lines before it and is
-    the last; so is one whose rows are None, for a token not of dtype.
+    bad is _first_bad_line of the first chunk that holds one, and the blocks
+    stop at it; it is None when no line is bad. The first block is convert
+    of no rows, so the blocks always join. None instead at a token not of dtype.
     """
+    blocks = [convert(_pairs([], dtype))]
     for first, lines in _text_lines(data):
         rows, bad = _pairs(lines, dtype), None
         if rows is None:
             bad = _first_bad_line(lines, first)
             rows = _pairs(lines[:bad[0] - first], dtype) if bad else None
-        yield rows, bad
-        if rows is None or bad:
-            return
+        if rows is None:
+            return None
+        blocks.append(convert(rows))
+        if bad:
+            return blocks, bad
+    return blocks, None
 
 
 def _data_line_number(data, row):
@@ -409,27 +390,6 @@ def _value_codes(values):
     return values, distinct.tolist()
 
 
-def _malformed(lineno, got):
-    """The error for an edge-list data line holding got tokens, not two."""
-    weighted = " (weighted edges are not supported)" if got > 2 else ""
-    return EdgeListError(f"line {lineno}: expected 2 tokens, got {got}{weighted}")
-
-
-def _edge_rows(data, dtype, convert):
-    """convert of each chunk's (lines, 2) _pairs, or None at a token not of dtype.
-
-    A data line without two tokens raises EdgeListError naming it.
-    """
-    parts = []
-    for rows, bad in _pair_rows(data, dtype):
-        if bad:
-            raise _malformed(*bad)
-        if rows is None:
-            return None
-        parts.append(convert(rows))
-    return parts
-
-
 def _edge_endpoints(source):
     """Endpoints of every edge line of source as (codes, labels), two codes per line.
 
@@ -441,13 +401,18 @@ def _edge_endpoints(source):
     """
     data = _read_utf8(source)
     names = collections.defaultdict(itertools.count().__next__)  # a new token takes the next id
-    parts = _edge_rows(data, np.int64, np.ravel)
-    if parts is None:  # "07" and "7" are one label only when every token is an integer
-        parts = _edge_rows(data, object, lambda rows: np.fromiter(
+    read = _pair_blocks(data, np.int64, np.ravel)
+    if read is None:  # "07" and "7" are one label only when every token is an integer
+        read = _pair_blocks(data, object, lambda rows: np.fromiter(
             map(names.__getitem__, rows.ravel().tolist()), dtype=np.int64, count=rows.size))
+    blocks, bad = read
+    if bad:
+        lineno, got = bad
+        weighted = " (weighted edges are not supported)" if got > 2 else ""
+        raise EdgeListError(f"line {lineno}: expected 2 tokens, got {got}{weighted}")
     del data  # the text dies before the codes and the graph are built
-    values = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
-    del parts
+    values = np.concatenate(blocks)
+    del blocks
     if not names:
         return _value_codes(values) if len(values) else (values, [])
     normalized = _normalize_labels(list(names))
@@ -562,13 +527,14 @@ def _truth_rows(data, node_dtype):
     """
     dtype = np.dtype([("node", node_dtype), ("community", object)])
     ids = collections.defaultdict(itertools.count().__next__)  # a new name takes the next id
-    nodes, names, bad = [np.zeros(0, dtype=node_dtype)], [np.zeros(0, dtype=np.int64)], None
-    for rows, bad in _pair_rows(data, dtype):
-        if rows is None:
-            return None
-        nodes.append(rows["node"].copy())  # a copy: the names die with their chunk
-        names.append(np.fromiter(map(ids.__getitem__, rows["community"].tolist()),
-                                 dtype=np.int64, count=len(rows)))
+    read = _pair_blocks(data, dtype, lambda rows: (
+        rows["node"].copy(),  # a copy: the names die with their chunk
+        np.fromiter(map(ids.__getitem__, rows["community"].tolist()),
+                    dtype=np.int64, count=len(rows))))
+    if read is None:
+        return None
+    blocks, bad = read
+    nodes, names = zip(*blocks)
     return np.concatenate(nodes), np.concatenate(names), bad
 
 

@@ -738,6 +738,7 @@ PROCESS_EXITS = {
     "plot-output-and-output-dir": (2, "not allowed with argument --output",
                                    ["plot", "--embedding", "E", "--output", "a.svg",
                                     "--output-dir", "out"], []),
+    "output-dir-is-a-file": (2, "File exists", ["embed", "--input", "G", "--output-dir", "G"], []),
 }
 
 

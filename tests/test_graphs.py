@@ -338,6 +338,7 @@ EDGE_CASES = [
     "9223372036854775808 1\n1 2\n2 0\n", "-0 0\n0 1\n1 -0\n", "+5 x\nx 5\n", "1.5 2\n2 3\n",
     "0 1\n,,\n", "0 1\n1 2 #c\n", "-1 9223372036854775807\n",
     "-5000000000000000000 5000000000000000000\n0 -5000000000000000000\n",
+    "x y\n0 1 2\n",  # a token not an integer, then a bad line, in one chunk
 ]
 
 
